@@ -11,6 +11,7 @@ is not given.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
@@ -45,12 +46,12 @@ EXIT_USAGE = 2
 
 
 def _read_source(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
     try:
+        if path == "-":
+            return sys.stdin.read()
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise TclError(f"cannot read {path}: {exc}")
 
 
@@ -58,7 +59,12 @@ def _default_seed(value: int | None) -> int:
     if value is not None:
         return value
     env = os.environ.get("TCL_SEED")
-    return int(env) if env else 0
+    if not env:
+        return 0
+    try:
+        return int(env)
+    except ValueError:
+        raise TclError(f"TCL_SEED must be an integer, got {env!r}")
 
 
 def _emit(payload: dict, fmt: str) -> None:
@@ -68,9 +74,10 @@ def _emit(payload: dict, fmt: str) -> None:
         for key, value in _flatten(payload):
             print(f"{key}: {value}")
     elif fmt == "csv":
-        print("key,value")
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(("key", "value"))
         for key, value in _flatten(payload):
-            print(f"{key},{value}")
+            writer.writerow((key, str(value)))
     else:
         raise TclError(f"unknown format {fmt!r}")
 
@@ -86,7 +93,10 @@ def _flatten(obj, prefix: str = ""):
 
 
 def _parse_threshold(text: str):
-    return Fraction(text) if "/" in text or "." not in text else float(text)
+    try:
+        return Fraction(text) if "/" in text or "." not in text else float(text)
+    except (ValueError, ZeroDivisionError):
+        raise TclError(f"density threshold {text!r} is not a rational or a float")
 
 
 def cmd_info(args) -> int:
@@ -189,7 +199,10 @@ def cmd_cycle(args) -> int:
 
 def cmd_validate(args) -> int:
     H = read_hypergraph(_read_source(args.file))
-    seq = [int(tok) for tok in args.sequence.replace(",", " ").split()]
+    try:
+        seq = [int(tok) for tok in args.sequence.replace(",", " ").split()]
+    except ValueError:
+        raise TclError(f"sequence {args.sequence!r} is not a list of integers")
     check = validate_cycle(H, seq)
     _emit(check.to_json_dict(), args.format)
     return EXIT_OK if check.valid else EXIT_VERDICT_FALSE

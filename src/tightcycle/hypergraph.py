@@ -40,6 +40,7 @@ class Hypergraph3:
         self.edges: tuple[Edge3, ...] = tuple(canon)
         self.edge_set: frozenset[Edge3] = frozenset(canon)
         self._pair_index: dict[Edge2, tuple[Edge3, ...]] | None = None
+        self._degrees: tuple[int, ...] | None = None
 
     # -- basic counts -------------------------------------------------
 
@@ -80,6 +81,17 @@ class Hypergraph3:
             self._pair_index = {p: tuple(v) for p, v in idx.items()}
         return self._pair_index
 
+    @property
+    def degrees(self) -> tuple[int, ...]:
+        """Vertex degrees indexed by vertex; entry 0 is an unused 0."""
+        if self._degrees is None:
+            degs = [0] * (self.n + 1)
+            for e in self.edges:
+                for v in e:
+                    degs[v] += 1
+            self._degrees = tuple(degs)
+        return self._degrees
+
     def degree(self, S: Iterable[int]) -> int:
         """Number of edges containing the 1- or 2-element vertex set S."""
         s = tuple(sorted(set(S)))
@@ -89,8 +101,7 @@ class Hypergraph3:
             raise InvalidArgumentError(f"S={s} not inside [1, {self.n}]")
         if len(s) == 2:
             return len(self.pair_index.get((s[0], s[1]), ()))
-        v = s[0]
-        return sum(1 for e in self.edges if v in e)
+        return self.degrees[s[0]]
 
     def min_degree(self, s: int = 1) -> int:
         """Minimum of degree() over all s-subsets of the vertex set."""
@@ -99,11 +110,7 @@ class Hypergraph3:
         if self.n < s:
             raise InvalidArgumentError(f"n={self.n} < s={s}")
         if s == 1:
-            degs = [0] * (self.n + 1)
-            for e in self.edges:
-                for v in e:
-                    degs[v] += 1
-            return min(degs[1:])
+            return min(self.degrees[1:])
         pidx = self.pair_index
         return min(
             len(pidx.get(p, ()))

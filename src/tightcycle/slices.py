@@ -5,7 +5,8 @@ A weak slice is a seeded random equipartition of the vertex set into t
 clusters of equal size m (after deleting the n mod t remainder), with
 complete bipartite pair graphs between clusters.  It stands in for a
 genuine regular partition at desk scale: densities of cluster triples are
-exact counts over the m^3 crossing triples, and "regular" labels come from
+exact rationals, counts over the m^3 crossing triples, taken from one index
+that buckets the edges of H by cluster triple; "regular" labels come from
 a sampled search for deviating induced sub-polyads, which is one-sided
 evidence only.  The reduced-graph inequality checked by reduced_degree_check is a
 counting fact and must hold for every density/label configuration, however
@@ -23,26 +24,19 @@ from typing import Iterable, Sequence
 
 from .errors import InvalidArgumentError
 from .generators import derive_seed
-from .hypergraph import Hypergraph3
-
-EXACT_DENSITY_MAX_CUBE = 1_000_000  # keep Fractions while m^3 is below this
+from .hypergraph import Edge3, Hypergraph3
 
 Triple = tuple[int, int, int]  # sorted triple of 0-based cluster ids
 
 
 @dataclass(frozen=True)
 class WeakSlice:
-    """Equipartition of [1, n] minus a deleted remainder into t clusters.
-
-    pair_graphs is None for the default complete bipartite pair setting;
-    otherwise it maps a cluster pair (i, j), i < j, to the allowed vertex
-    pairs between those clusters.
-    """
+    """Equipartition of [1, n] minus a deleted remainder into t clusters,
+    with complete bipartite pair graphs between clusters."""
 
     n: int
     clusters: tuple[tuple[int, ...], ...]
     deleted_vertices: tuple[int, ...]
-    pair_graphs: dict[tuple[int, int], frozenset[tuple[int, int]]] | None = None
 
     @property
     def t(self) -> int:
@@ -96,67 +90,48 @@ def _check_triple(S: WeakSlice, X: Iterable[int]) -> Triple:
     return xs  # type: ignore[return-value]
 
 
-def _supported_pairs(S: WeakSlice, i: int, j: int):
-    """Allowed pairs between clusters i < j, or None meaning all of them."""
-    if S.pair_graphs is None:
-        return None
-    return S.pair_graphs.get((i, j), frozenset())
+def _cluster_buckets(H: Hypergraph3, S: WeakSlice) -> dict[Triple, list[Edge3]]:
+    """One pass over H: each sorted cluster triple -> its crossing edges.
+
+    Each edge is stored in cluster order (its vertex in the smallest cluster
+    first).  Edges touching a deleted vertex or meeting a cluster twice belong
+    to no triple and are dropped.
+    """
+    where = S.cluster_lookup()
+    buckets: dict[Triple, list[Edge3]] = {}
+    for e in H.edges:
+        try:
+            (i, a), (j, b), (k, c) = sorted((where[v], v) for v in e)
+        except KeyError:
+            continue
+        if i != j and j != k:
+            buckets.setdefault((i, j, k), []).append((a, b, c))
+    return buckets
 
 
-def relative_density(
-    H: Hypergraph3, S: WeakSlice, X: Iterable[int]
-) -> Fraction | float:
-    """Fraction of pair-supported crossing triples over X that are edges of H.
+def _density(bucket: Sequence[Edge3], S: WeakSlice, xs: Triple) -> Fraction:
+    i, j, k = xs
+    den = len(S.clusters[i]) * len(S.clusters[j]) * len(S.clusters[k])
+    return Fraction(len(bucket), den) if den else Fraction(0)
 
-    With complete pair graphs the denominator is m^3.  A sparse polyad that
-    supports no triple has density 0 by convention.  Exact rationals while
-    m^3 stays small; floats beyond.
+
+def _sub_density(bucket: Sequence[Edge3], subsets: Sequence[Sequence[int]]) -> Fraction:
+    """Density of the bucket's polyad restricted to one subset per cluster."""
+    A, B, C = (set(sub) for sub in subsets)
+    den = len(A) * len(B) * len(C)
+    if den == 0:
+        return Fraction(0)
+    num = sum(1 for a, b, c in bucket if a in A and b in B and c in C)
+    return Fraction(num, den)
+
+
+def relative_density(H: Hypergraph3, S: WeakSlice, X: Iterable[int]) -> Fraction:
+    """Fraction of the m^3 crossing triples over X that are edges of H.
+
+    Always an exact rational; an empty polyad has density 0 by convention.
     """
     xs = _check_triple(S, X)
-    num, den = _polyad_counts(H, S, xs, [S.clusters[c] for c in xs])
-    if den == 0:
-        return Fraction(0) if S.m ** 3 <= EXACT_DENSITY_MAX_CUBE else 0.0
-    if S.m ** 3 <= EXACT_DENSITY_MAX_CUBE:
-        return Fraction(num, den)
-    return num / den
-
-
-def _polyad_counts(
-    H: Hypergraph3,
-    S: WeakSlice,
-    xs: Triple,
-    parts: Sequence[Sequence[int]],
-) -> tuple[int, int]:
-    """(edges of H inside parts, pair-supported triples inside parts)."""
-    i, j, k = xs
-    pij = _supported_pairs(S, i, j)
-    pik = _supported_pairs(S, i, k)
-    pjk = _supported_pairs(S, j, k)
-    ai, aj, ak = (set(p) for p in parts)
-    if pij is None and pik is None and pjk is None:
-        den = len(ai) * len(aj) * len(ak)
-        num = 0
-        for e in H.edges:
-            a, b, c = e
-            for x, y, z in itertools.permutations((a, b, c)):
-                if x in ai and y in aj and z in ak:
-                    num += 1
-                    break
-        return num, den
-    num = den = 0
-    for x in sorted(ai):
-        for y in sorted(aj):
-            if pij is not None and (min(x, y), max(x, y)) not in pij:
-                continue
-            for z in sorted(ak):
-                if pik is not None and (min(x, z), max(x, z)) not in pik:
-                    continue
-                if pjk is not None and (min(y, z), max(y, z)) not in pjk:
-                    continue
-                den += 1
-                if (x, y, z) in H:
-                    num += 1
-    return num, den
+    return _density(_cluster_buckets(H, S).get(xs, ()), S, xs)
 
 
 def sub_polyad_density(
@@ -164,20 +139,14 @@ def sub_polyad_density(
     S: WeakSlice,
     X: Iterable[int],
     subsets: Sequence[Sequence[int]],
-) -> Fraction | float:
+) -> Fraction:
     """Density of the sub-polyad induced by one vertex subset per cluster of X."""
     xs = _check_triple(S, X)
     for cid, sub in zip(xs, subsets):
         cluster = set(S.clusters[cid])
         if not set(sub) <= cluster:
             raise InvalidArgumentError(f"subset {sub} not inside cluster {cid}")
-    num, den = _polyad_counts(H, S, xs, subsets)
-    if den == 0:
-        return Fraction(0)
-    size = len(subsets[0]) * len(subsets[1]) * len(subsets[2])
-    if size <= EXACT_DENSITY_MAX_CUBE:
-        return Fraction(num, den)
-    return num / den
+    return _sub_density(_cluster_buckets(H, S).get(xs, ()), subsets)
 
 
 @dataclass(frozen=True)
@@ -187,7 +156,7 @@ class IrregularityWitness:
 
     X: Triple
     subsets: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
-    observed_density: Fraction | float
+    observed_density: Fraction
     reference_density: Fraction | float
     eps: float
 
@@ -212,15 +181,25 @@ def irregularity_witness(
     regularity, only absence of sampled evidence.
     """
     xs = _check_triple(S, X)
+    return _find_witness(_cluster_buckets(H, S).get(xs, ()), S, xs, d, eps, samples, seed)
+
+
+def _find_witness(
+    bucket: Sequence[Edge3],
+    S: WeakSlice,
+    xs: Triple,
+    d,
+    eps: float,
+    samples: int,
+    seed: int,
+) -> IrregularityWitness | None:
     if not 0 < eps < 1:
         raise InvalidArgumentError(f"eps must be in (0,1), got {eps}")
     if samples < 1:
         raise InvalidArgumentError(f"samples must be >= 1, got {samples}")
     rng = random.Random(seed)
     parts = [list(S.clusters[c]) for c in xs]
-    full_support = S.m ** 3  # complete pair graphs; explicit ones recount below
-    if S.pair_graphs is not None:
-        _, full_support = _polyad_counts(H, S, xs, parts)
+    full_support = S.m ** 3
     for _ in range(samples):
         subs = []
         for part in parts:
@@ -228,10 +207,7 @@ def irregularity_witness(
             subs.append(tuple(sorted(rng.sample(part, size))))
         if len(subs[0]) * len(subs[1]) * len(subs[2]) <= eps * full_support:
             continue
-        num, den = _polyad_counts(H, S, xs, subs)
-        if den == 0 or den <= eps * full_support:
-            continue
-        dq = Fraction(num, den)
+        dq = _sub_density(bucket, subs)
         if abs(float(dq) - float(d)) > eps:
             return IrregularityWitness(
                 X=xs,
@@ -254,7 +230,7 @@ class ReducedGraph:
 
     t: int
     m: int
-    densities: dict[Triple, Fraction | float]
+    densities: dict[Triple, Fraction]
     regular: dict[Triple, bool]
     d_threshold: Fraction | float
 
@@ -273,11 +249,11 @@ class ReducedGraph:
             if self.regular[X] and self.densities[X] >= self.d_threshold
         ]
 
-    def relative_degree_weighted(self, Y: int) -> Fraction | float:
+    def relative_degree_weighted(self, Y: int) -> Fraction:
         """Sum of densities over triples containing Y, over C(t-1,2)."""
         self._check_cluster(Y)
         total = sum(dv for X, dv in self.densities.items() if Y in X)
-        return _ratio(total, comb(self.t - 1, 2))
+        return Fraction(total, comb(self.t - 1, 2))
 
     def relative_degree_thresholded(self, Y: int) -> Fraction:
         self._check_cluster(Y)
@@ -317,12 +293,6 @@ class ReducedGraph:
         }
 
 
-def _ratio(total, denom: int):
-    if isinstance(total, int):
-        return Fraction(total, denom)
-    return total / denom
-
-
 def zeta(R: ReducedGraph, Y: int) -> Fraction:
     return R.zeta(Y)
 
@@ -352,7 +322,7 @@ def mean_relative_degree(H: Hypergraph3, vertices: Iterable[int]) -> Fraction:
 @dataclass(frozen=True)
 class ClusterDegreeReport:
     cluster: int
-    lhs: Fraction | float  # relative degree in the thresholded reduced graph
+    lhs: Fraction  # relative degree in the thresholded reduced graph
     rhs: Fraction | float  # weighted relative degree - d - zeta
     ok: bool
 
@@ -385,12 +355,14 @@ def build_reduced_graph(
     A triple is labeled regular iff no deviating sub-polyad was found in
     `samples` draws against its own measured density (one-sided evidence).
     """
-    densities: dict[Triple, Fraction | float] = {}
+    buckets = _cluster_buckets(H, S)
+    densities: dict[Triple, Fraction] = {}
     regular: dict[Triple, bool] = {}
     for idx, X in enumerate(itertools.combinations(range(S.t), 3)):
-        dv = relative_density(H, S, X)
+        bucket = buckets.get(X, ())
+        dv = _density(bucket, S, X)
         densities[X] = dv
-        w = irregularity_witness(H, S, X, dv, eps, samples, derive_seed(seed, idx))
+        w = _find_witness(bucket, S, X, dv, eps, samples, derive_seed(seed, idx))
         regular[X] = w is None
     return ReducedGraph(
         t=S.t, m=S.m, densities=densities, regular=regular, d_threshold=d_threshold

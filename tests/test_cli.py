@@ -173,3 +173,41 @@ def test_validate_command_verdict_exit(capsys, tmp_path):
     assert code == 0 and json.loads(out)["valid"]
     code, out, _ = run_cli(capsys, "validate", str(path), "1,2,3,1")
     assert code == 1 and not json.loads(out)["valid"]
+
+
+BAD_INPUT_CASES = [
+    # (id, argv with {file} for the host file, environment, host file bytes)
+    ("validate-non-integer", ["validate", "{file}", "1 2 x"], {}, None),
+    ("seed-env-non-integer", ["random", "--n", "5", "--p", "0.5"], {"TCL_SEED": "abc"}, None),
+    ("file-not-utf8", ["info", "{file}"], {}, b"3 4\n1 2 3\n\xff\xfe\n"),
+    ("threshold-not-a-number", ["reduce", "{file}", "--t", "3", "--d", "abc"], {}, None),
+    ("threshold-zero-denominator", ["pipeline", "{file}", "--t", "3", "--d", "1/0"], {}, None),
+]
+
+
+@pytest.mark.parametrize("argv,env,content", [c[1:] for c in BAD_INPUT_CASES],
+                         ids=[c[0] for c in BAD_INPUT_CASES])
+def test_bad_input_is_one_line_error_exit_2(capsys, tmp_path, monkeypatch, argv, env, content):
+    path = tmp_path / "h.3g"
+    path.write_bytes(content if content is not None else write_hypergraph(complete_3graph(6)).encode())
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    code, out, err = run_cli(capsys, *(a.format(file=path) for a in argv))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_csv_rows_have_two_fields(capsys, tmp_path):
+    import csv
+    import io
+
+    path = tmp_path / "k6.3g"
+    path.write_text(write_hypergraph(complete_3graph(6)))
+    code, out, _ = run_cli(capsys, "cycle", str(path), "--format", "csv")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["key", "value"]
+    assert all(len(row) == 2 for row in rows)
+    code, out, _ = run_cli(capsys, "cycle", str(path))
+    assert json.loads(dict(rows)["order"]) == json.loads(out)["order"]

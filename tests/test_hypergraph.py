@@ -34,6 +34,14 @@ def test_degree_extremal_b_vertex():
     assert 13 == 28 - 15  # C(8,2) - C(6,2)
 
 
+def test_degree_matches_brute_count_on_random_hosts():
+    for seed in range(6):
+        H = random_3graph(14, 0.1 + 0.15 * seed, seed)
+        brute = [sum(1 for e in H.edges if v in e) for v in H.vertices()]
+        assert [H.degree([v]) for v in H.vertices()] == brute
+        assert H.min_degree(1) == min(brute)
+
+
 def test_degree_rejects_bad_sets():
     K4 = complete_3graph(4)
     with pytest.raises(InvalidArgumentError):

@@ -1,0 +1,182 @@
+"""The bucketed reduce layer against the permutation-scan counter it replaced.
+
+The oracle below is the former counting core of `slices`: for every polyad
+and every witness sample it scans all edges of H in all six vertex orders.
+On a fixed, seeded corpus (including hosts with n mod t != 0 and edges that
+meet one cluster twice) densities, sub-polyad densities, witnesses and whole
+reduced graphs must equal the oracle's exactly, and the canonical pipeline
+reports of the pinned seeds must keep the digests they had under the oracle.
+"""
+
+import hashlib
+import itertools
+import random
+from fractions import Fraction
+
+import pytest
+
+from tightcycle.generators import derive_seed, extremal, random_3graph
+from tightcycle.hypergraph import Hypergraph3, complete_3graph
+from tightcycle.pipeline import run_pipeline
+from tightcycle.slices import (
+    IrregularityWitness,
+    ReducedGraph,
+    build_reduced_graph,
+    build_weak_slice,
+    irregularity_witness,
+    relative_density,
+    sub_polyad_density,
+)
+
+
+def oracle_counts(H, parts):
+    """(edges of H with one vertex in each part, product of the part sizes)."""
+    ai, aj, ak = (set(p) for p in parts)
+    num = 0
+    for e in H.edges:
+        for x, y, z in itertools.permutations(e):
+            if x in ai and y in aj and z in ak:
+                num += 1
+                break
+    return num, len(ai) * len(aj) * len(ak)
+
+
+def oracle_density(H, parts):
+    num, den = oracle_counts(H, parts)
+    return Fraction(num, den) if den else Fraction(0)
+
+
+def oracle_witness(H, S, xs, d, eps, samples, seed):
+    rng = random.Random(seed)
+    parts = [list(S.clusters[c]) for c in xs]
+    full_support = S.m ** 3
+    for _ in range(samples):
+        subs = []
+        for part in parts:
+            size = rng.randint(1, len(part))
+            subs.append(tuple(sorted(rng.sample(part, size))))
+        if len(subs[0]) * len(subs[1]) * len(subs[2]) <= eps * full_support:
+            continue
+        num, den = oracle_counts(H, subs)
+        if den == 0 or den <= eps * full_support:
+            continue
+        dq = Fraction(num, den)
+        if abs(float(dq) - float(d)) > eps:
+            return IrregularityWitness(
+                X=xs, subsets=tuple(subs), observed_density=dq,
+                reference_density=d, eps=eps,
+            )
+    return None
+
+
+def oracle_reduced_graph(H, S, d_threshold, eps, samples, seed):
+    densities, regular = {}, {}
+    for idx, X in enumerate(itertools.combinations(range(S.t), 3)):
+        dv = oracle_density(H, [S.clusters[c] for c in X])
+        densities[X] = dv
+        w = oracle_witness(H, S, X, dv, eps, samples, derive_seed(seed, idx))
+        regular[X] = w is None
+    return ReducedGraph(
+        t=S.t, m=S.m, densities=densities, regular=regular, d_threshold=d_threshold
+    )
+
+
+def planted(n, seed):
+    """Dense on the low half of the vertices, sparse elsewhere."""
+    rng = random.Random(seed)
+    half = n // 2
+    return Hypergraph3(n, [
+        e for e in itertools.combinations(range(1, n + 1), 3)
+        if rng.random() < (0.9 if e[2] <= half else 0.1)
+    ])
+
+
+def _corpus():
+    shapes = [(12, 3, 0.35), (13, 3, 0.5), (17, 4, 0.3), (20, 5, 0.6),
+              (22, 5, 0.2), (23, 6, 0.8), (26, 6, 0.45)]
+    out = []
+    for i, (n, t, p) in enumerate(shapes):
+        H = random_3graph(n, p, 500 + i)
+        out.append((f"random-n{n}-t{t}", H, build_weak_slice(H, t, seed=i)))
+    for i, (n, t) in enumerate([(19, 4), (25, 6)]):
+        H = planted(n, 700 + i)
+        out.append((f"planted-n{n}-t{t}", H, build_weak_slice(H, t, seed=40 + i)))
+    return out
+
+
+CORPUS = _corpus()
+IDS = [name for name, _, _ in CORPUS]
+
+
+def test_corpus_covers_remainders_and_same_cluster_edges():
+    assert any(S.deleted_vertices for _, _, S in CORPUS)
+    for _, H, S in CORPUS:
+        where = S.cluster_lookup()
+        assert any(
+            len({where[v] for v in e}) < 3 for e in H.edges if all(v in where for v in e)
+        )
+
+
+@pytest.mark.parametrize("name,H,S", CORPUS, ids=IDS)
+def test_relative_density_matches_oracle(name, H, S):
+    for X in itertools.combinations(range(S.t), 3):
+        expected = oracle_density(H, [S.clusters[c] for c in X])
+        assert relative_density(H, S, reversed(X)) == expected
+
+
+@pytest.mark.parametrize("name,H,S", CORPUS, ids=IDS)
+def test_sub_polyad_density_matches_oracle(name, H, S):
+    rng = random.Random(name)
+    for X in itertools.combinations(range(S.t), 3):
+        for _ in range(4):
+            subsets = [
+                rng.sample(S.clusters[c], rng.randint(0, len(S.clusters[c]))) for c in X
+            ]
+            got = sub_polyad_density(H, S, X, subsets)
+            assert got == oracle_density(H, subsets)
+
+
+def test_irregularity_witness_matches_oracle():
+    outcomes = set()
+    for name, H, S in CORPUS:
+        for idx, X in enumerate(itertools.combinations(range(S.t), 3)):
+            dv = oracle_density(H, [S.clusters[c] for c in X])
+            for d, eps in ((dv, 0.1), (Fraction(1, 2), 0.3)):
+                seed = derive_seed(len(name), idx)
+                got = irregularity_witness(H, S, X, d, eps, 12, seed)
+                assert got == oracle_witness(H, S, X, d, eps, 12, seed), (name, X, d)
+                outcomes.add(got is None)
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("name,H,S", CORPUS, ids=IDS)
+def test_build_reduced_graph_matches_oracle(name, H, S):
+    got = build_reduced_graph(H, S, Fraction(1, 20), 0.2, 10, seed=len(name))
+    expected = oracle_reduced_graph(H, S, Fraction(1, 20), 0.2, 10, seed=len(name))
+    assert got == expected
+    assert got.to_json_dict() == expected.to_json_dict()
+
+
+# SHA-256 of run_pipeline(...).canonical_json(), recorded with the oracle
+# counting core; (host, t, samples, seed) as in test_pipeline.py and the
+# pipeline determinism criterion, plus a host with n mod t != 0 on which
+# three of the 84 cluster triples are labeled irregular.
+PINNED = [
+    (lambda: complete_3graph(30), 6, 40, 7,
+     "4e6ad57095e9ab765e9fa0a5cc5fdc95c83900c16fdf55149bd7af1657667372"),
+    (lambda: extremal(30, 6).hypergraph, 6, 40, 11,
+     "dac43fb518e537c6e429459801275618087e661a0ca9866005d18a957c313d0c"),
+    (lambda: random_3graph(60, 0.8, 42), 6, 40, 11,
+     "fd0a760eacb7147f34a53c2f65c9d5b46d19420749286c247e8d7cc0707a2488"),
+    (lambda: complete_3graph(12), 13, 10, 0,
+     "81ff3371d6460b8b49a738b5e3bd292d1e0892b418d3c512bfa87fbe86f1a412"),
+    (lambda: random_3graph(40, 0.5, 3), 9, 40, 5,
+     "add10d6aaad347ae998ff45bd83d5fe5cd04eb191be216f4364124c34b9d77e9"),
+]
+
+
+@pytest.mark.parametrize("make,t,samples,seed,digest", PINNED,
+                         ids=[f"t{p[1]}-seed{p[3]}-{i}" for i, p in enumerate(PINNED)])
+def test_pipeline_canonical_digest_pinned(make, t, samples, seed, digest):
+    report = run_pipeline(make(), t, Fraction(1, 20), 0.25, samples, seed=seed)
+    assert hashlib.sha256(report.canonical_json().encode()).hexdigest() == digest
