@@ -55,11 +55,9 @@ from .slices import (
     irregularity_witness,
     reduced_degree_check,
     mean_relative_degree,
-    relative_degree,
     relative_degree_vertex,
     relative_density,
     sub_polyad_density,
-    zeta,
 )
 from .cycles import (
     CycleSearchParams,

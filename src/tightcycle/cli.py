@@ -2,7 +2,9 @@
 
 Every subcommand wraps one library operation (`pipeline` and `verify`
 run documented sequences).  Exit codes: 0 on success, 1 when a
-verification verdict is false, 2 on usage, parse, or precondition errors.
+verification verdict is false, 2 on usage, parse, or precondition errors,
+3 when an internal proof step fails (InvariantViolation: a bug, not bad
+input).
 '-' names standard input for file arguments, so generators chain into
 consumers.  The TCL_SEED environment variable supplies a seed when --seed
 is not given.
@@ -19,7 +21,7 @@ from fractions import Fraction
 
 from . import campaigns
 from .cycles import CycleSearchParams, longest_tight_cycle, validate_cycle
-from .errors import TclError
+from .errors import InvariantViolation, TclError
 from .fractional import max_fractional_matching, tight_perfect_fractional_matching
 from .generators import (
     extremal,
@@ -43,6 +45,7 @@ from .tight import tight_components
 EXIT_OK = 0
 EXIT_VERDICT_FALSE = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 
 def _read_source(path: str) -> str:
@@ -401,6 +404,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
+    except InvariantViolation as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except TclError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -47,11 +47,6 @@ class TightCycle:
     def length(self) -> int:
         return len(self.order)
 
-    def windows(self):
-        ell = len(self.order)
-        for i in range(ell):
-            yield (self.order[i], self.order[(i + 1) % ell], self.order[(i + 2) % ell])
-
     def to_json_dict(self, coverage: dict[int, int] | None = None) -> dict:
         out = {"length": self.length, "order": list(self.order), "valid": True}
         if coverage is not None:

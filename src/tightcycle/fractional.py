@@ -25,9 +25,9 @@ from .errors import (
     PreconditionError,
     SizeLimitError,
 )
-from .hypergraph import Edge3, Hypergraph3
+from .hypergraph import Edge3, Graph, Hypergraph3
 from .lp import solve_matching_lp, solve_matching_lp_float
-from .matching import induced_subgraph, largest_component, max_matching
+from .matching import largest_component, max_matching
 from .tight import TightComponentLabeling, component_star, tight_components
 
 EXACT_LP_MAX_N = 30
@@ -310,8 +310,8 @@ def refute_certificate(H: Hypergraph3, a: Sequence) -> CertificateRefutation:
             axiom_failed="a.1 <= 0",
         )
     u = max(range(1, n + 1), key=lambda v: (vec[v - 1], -v))
-    cu_vertices, _ = largest_component(H.link_graph(u))
-    mm = max_matching(induced_subgraph(H.link_graph(u), cu_vertices))
+    _, cu_edges = largest_component(H.link_graph(u))
+    mm = max_matching(Graph(n, cu_edges))
     if mm.size < n // 3:
         raise InvariantViolation(
             f"link component of {u} lacks a matching of size {n // 3}",

@@ -3,6 +3,11 @@
 Vertices are dense 1-based integers.  Edges are stored as ascending tuples
 and the edge set is hashed, so membership tests are O(1).  Both types are
 immutable by convention after construction and safe to share across workers.
+
+Edges are checked in one place, `_canonical_edges`, which both constructors
+call: arity, distinct vertices, range [1, n] and duplicates.  The text
+readers check only the header and the tokens of each line and feed the
+edges to the constructor, so a file obeys the same rules as an edge list.
 """
 
 from __future__ import annotations
@@ -17,35 +22,37 @@ Edge3 = tuple[int, int, int]
 Edge2 = tuple[int, int]
 
 
+def _canonical_edges(n: int, edges: Iterable[Iterable[int]], k: int) -> tuple[tuple, frozenset]:
+    """Check a vertex count and k-edges; return the sorted edges and their set.
+
+    Edges are consumed in order and the first bad one raises, so a caller
+    that feeds edges lazily knows which one failed.
+    """
+    if n < 0:
+        raise InvalidArgumentError(f"vertex count must be >= 0, got {n}")
+    seen: set[tuple[int, ...]] = set()
+    for raw in edges:
+        e = tuple(sorted(raw))
+        if len(e) != k or e[0] == e[1] or e[-2] == e[-1]:
+            raise InvalidArgumentError(f"edge {tuple(raw)} is not {k} distinct vertices")
+        if e[0] < 1 or e[-1] > n:
+            raise InvalidArgumentError(f"edge {e} not inside [1, {n}]")
+        if e in seen:
+            raise InvalidArgumentError(f"duplicate edge {e}")
+        seen.add(e)
+    return tuple(sorted(seen)), frozenset(seen)
+
+
 class Hypergraph3:
     """A 3-uniform hypergraph on vertex set {1, ..., n}."""
 
     def __init__(self, n: int, edges: Iterable[Iterable[int]]):
-        if n < 0:
-            raise InvalidArgumentError(f"vertex count must be >= 0, got {n}")
+        self.edges, self.edge_set = _canonical_edges(n, edges, 3)
         self.n = n
-        canon: list[Edge3] = []
-        seen: set[Edge3] = set()
-        for raw in edges:
-            e = tuple(sorted(raw))
-            if len(e) != 3 or e[0] == e[1] or e[1] == e[2]:
-                raise InvalidArgumentError(f"edge {tuple(raw)} is not 3 distinct vertices")
-            if e[0] < 1 or e[2] > n:
-                raise InvalidArgumentError(f"edge {e} not inside [1, {n}]")
-            if e in seen:
-                raise InvalidArgumentError(f"duplicate edge {e}")
-            seen.add(e)
-            canon.append(e)  # type: ignore[arg-type]
-        canon.sort()
-        self.edges: tuple[Edge3, ...] = tuple(canon)
-        self.edge_set: frozenset[Edge3] = frozenset(canon)
         self._pair_index: dict[Edge2, tuple[Edge3, ...]] | None = None
         self._degrees: tuple[int, ...] | None = None
 
     # -- basic counts -------------------------------------------------
-
-    def num_edges(self) -> int:
-        return len(self.edges)
 
     def vertices(self) -> range:
         return range(1, self.n + 1)
@@ -133,28 +140,9 @@ class Graph:
     """A simple graph on vertex set {1, ..., n}."""
 
     def __init__(self, n: int, edges: Iterable[Iterable[int]]):
-        if n < 0:
-            raise InvalidArgumentError(f"vertex count must be >= 0, got {n}")
+        self.edges, self.edge_set = _canonical_edges(n, edges, 2)
         self.n = n
-        canon: list[Edge2] = []
-        seen: set[Edge2] = set()
-        for raw in edges:
-            e = tuple(sorted(raw))
-            if len(e) != 2 or e[0] == e[1]:
-                raise InvalidArgumentError(f"edge {tuple(raw)} is not 2 distinct vertices")
-            if e[0] < 1 or e[1] > n:
-                raise InvalidArgumentError(f"edge {e} not inside [1, {n}]")
-            if e in seen:
-                raise InvalidArgumentError(f"duplicate edge {e}")
-            seen.add(e)
-            canon.append(e)  # type: ignore[arg-type]
-        canon.sort()
-        self.edges: tuple[Edge2, ...] = tuple(canon)
-        self.edge_set: frozenset[Edge2] = frozenset(canon)
         self._adj: dict[int, tuple[int, ...]] | None = None
-
-    def num_edges(self) -> int:
-        return len(self.edges)
 
     def vertices(self) -> range:
         return range(1, self.n + 1)
@@ -211,76 +199,78 @@ def density(H: Hypergraph3):
 # ---------------------------------------------------------------------------
 
 
-def _parse_lines(text: str, arity: int) -> tuple[int, list[tuple[int, ...]]]:
+def _read(source: str | IO[str], cls, k: int):
+    """Parse a ".3g" (k = 3) or ".2g" (k = 2) document into cls(n, edges).
+
+    Only the header and the tokens of each line are checked here; the edges
+    go lazily into the constructor, whose errors become a ParseError on the
+    line of the edge it was checking.
+    """
+    text = source if isinstance(source, str) else source.read()
+    lines = enumerate(text.splitlines(), start=1)
     n = None
-    edges: list[tuple[int, ...]] = []
-    seen: set[tuple[int, ...]] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in lines:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         parts = line.split()
-        if n is None:
-            if len(parts) != 2 or parts[0] != str(arity):
-                raise ParseError(f"expected header '{arity} <n>', got {line!r}", lineno)
-            try:
-                n = int(parts[1])
-            except ValueError:
-                raise ParseError(f"vertex count {parts[1]!r} is not an integer", lineno)
-            if n < 0:
-                raise ParseError(f"vertex count must be >= 0, got {n}", lineno)
-            continue
-        if len(parts) != arity:
-            raise ParseError(f"expected {arity} vertices, got {len(parts)}", lineno)
+        if len(parts) != 2 or parts[0] != str(k):
+            raise ParseError(f"expected header '{k} <n>', got {line!r}", lineno)
         try:
-            vs = tuple(sorted(int(p) for p in parts))
+            n = int(parts[1])
         except ValueError:
-            raise ParseError(f"non-integer vertex in {line!r}", lineno)
-        if len(set(vs)) != arity:
-            raise ParseError(f"repeated vertex in edge {vs}", lineno)
-        if vs[0] < 1 or vs[-1] > n:
-            raise ParseError(f"edge {vs} not inside [1, {n}]", lineno)
-        if vs in seen:
-            raise ParseError(f"duplicate edge {vs}", lineno)
-        seen.add(vs)
-        edges.append(vs)
+            raise ParseError(f"vertex count {parts[1]!r} is not an integer", lineno)
+        break
     if n is None:
         raise ParseError("missing header line", None)
-    return n, edges
+    current = lineno
+
+    def edges():
+        nonlocal current
+        for current, raw in lines:
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split()
+            if len(parts) != k:
+                raise ParseError(f"expected {k} vertices, got {len(parts)}", current)
+            try:
+                e = tuple(map(int, parts))
+            except ValueError:
+                raise ParseError(f"non-integer vertex in {line!r}", current)
+            yield e
+
+    try:
+        return cls(n, edges())
+    except InvalidArgumentError as exc:
+        raise ParseError(str(exc), current) from None
 
 
-def _read_text(source: str | IO[str]) -> str:
-    if isinstance(source, str):
-        return source
-    return source.read()
+def _write(k: int, n: int, edges: Iterable[tuple[int, ...]], stream: IO[str] | None) -> str:
+    """Header "k n", then one edge per line; also written to stream if given."""
+    row = " ".join(["%s"] * k)
+    lines = [f"{k} {n}"]
+    lines.extend(row % e for e in edges)
+    text = "\n".join(lines) + "\n"
+    if stream is not None:
+        stream.write(text)
+    return text
 
 
 def read_hypergraph(source: str | IO[str]) -> Hypergraph3:
     """Parse a ".3g" document from a string or text stream."""
-    n, edges = _parse_lines(_read_text(source), 3)
-    return Hypergraph3(n, edges)
+    return _read(source, Hypergraph3, 3)
 
 
 def write_hypergraph(H: Hypergraph3, stream: IO[str] | None = None) -> str:
     """Serialize H canonically (header plus ascending edges); returns the text."""
-    lines = [f"3 {H.n}"]
-    lines.extend(f"{a} {b} {c}" for a, b, c in H.edges)
-    text = "\n".join(lines) + "\n"
-    if stream is not None:
-        stream.write(text)
-    return text
+    return _write(3, H.n, H.edges, stream)
 
 
 def read_graph(source: str | IO[str]) -> Graph:
     """Parse a ".2g" document from a string or text stream."""
-    n, edges = _parse_lines(_read_text(source), 2)
-    return Graph(n, edges)
+    return _read(source, Graph, 2)
 
 
 def write_graph(G: Graph, stream: IO[str] | None = None) -> str:
-    lines = [f"2 {G.n}"]
-    lines.extend(f"{a} {b}" for a, b in G.edges)
-    text = "\n".join(lines) + "\n"
-    if stream is not None:
-        stream.write(text)
-    return text
+    return _write(2, G.n, G.edges, stream)

@@ -29,9 +29,6 @@ class GraphMatching:
     def size(self) -> int:
         return len(self.pairs)
 
-    def covered_vertices(self) -> frozenset[int]:
-        return frozenset(v for p in self.pairs for v in p)
-
     def validate(self, G: Graph) -> None:
         seen: set[int] = set()
         for p in self.pairs:
@@ -112,12 +109,7 @@ def _find_augmenting_path(n, adj, match, root):
 def max_matching(G: Graph) -> GraphMatching:
     """A maximum-cardinality matching of G (deterministic for fixed input)."""
     n = G.n
-    adj: list[list[int]] = [[] for _ in range(n + 1)]
-    for u, w in G.edges:
-        adj[u].append(w)
-        adj[w].append(u)
-    for lst in adj:
-        lst.sort()
+    adj = G.adjacency
     match = [0] * (n + 1)
     for v in range(1, n + 1):
         if match[v] == 0:
@@ -172,15 +164,17 @@ def connected_components(G: Graph) -> list[tuple[frozenset[int], frozenset[Edge2
         queue = deque([v])
         seen.add(v)
         vs: set[int] = {v}
+        es: list[Edge2] = []
         while queue:
             x = queue.popleft()
             for y in adj[x]:
+                if x < y:
+                    es.append((x, y))
                 if y not in seen:
                     seen.add(y)
                     vs.add(y)
                     queue.append(y)
-        es = frozenset(e for e in G.edges if e[0] in vs)
-        out.append((frozenset(vs), es))
+        out.append((frozenset(vs), frozenset(es)))
     return out
 
 
@@ -191,10 +185,6 @@ def largest_component(G: Graph) -> tuple[frozenset[int], frozenset[Edge2]]:
         raise InvalidArgumentError("no component: graph has no edges")
     comps = connected_components(G)
     return min(comps, key=lambda c: (-len(c[0]), tuple(sorted(c[0]))))
-
-
-def induced_subgraph(G: Graph, vertices: frozenset[int]) -> Graph:
-    return Graph(G.n, [e for e in G.edges if e[0] in vertices and e[1] in vertices])
 
 
 @dataclass(frozen=True)
@@ -274,7 +264,7 @@ def graphmeet_verify(G1: Graph, G2: Graph, observe: bool = False) -> GraphMeetRe
     for G in (G1, G2):
         cv, ce = largest_component(G)
         comps.append((cv, ce))
-        mm = max_matching(induced_subgraph(G, cv))
+        mm = max_matching(Graph(n, ce))
         target = n // 3
         if mm.size >= target and n % 3 == 0:
             mm = mm.truncated(target)

@@ -263,8 +263,7 @@ class ReducedGraph:
     def zeta(self, Y: int) -> Fraction:
         """Proportion of cluster triples containing Y labeled irregular."""
         self._check_cluster(Y)
-        bad = sum(1 for X, ok in self.regular.items() if Y in X and not ok)
-        return Fraction(bad, comb(self.t - 1, 2))
+        return Fraction(self.irregular_count(Y), comb(self.t - 1, 2))
 
     def irregular_count(self, Y: int) -> int:
         return sum(1 for X, ok in self.regular.items() if Y in X and not ok)
@@ -291,20 +290,6 @@ class ReducedGraph:
                 for X in triples
             ],
         }
-
-
-def zeta(R: ReducedGraph, Y: int) -> Fraction:
-    return R.zeta(Y)
-
-
-def relative_degree(obj: "ReducedGraph | Hypergraph3", Y: int, weighted: bool = True):
-    """Relative degree of Y: a vertex degree over C(n-1,2) for a hypergraph,
-    or the (weighted or thresholded) cluster degree for a reduced graph."""
-    if isinstance(obj, Hypergraph3):
-        return relative_degree_vertex(obj, Y)
-    if weighted:
-        return obj.relative_degree_weighted(Y)
-    return obj.relative_degree_thresholded(Y)
 
 
 def relative_degree_vertex(H: Hypergraph3, v: int) -> Fraction:

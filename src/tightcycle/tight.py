@@ -48,11 +48,6 @@ class TightComponentLabeling:
     component_count: int
     component_sizes: tuple[int, ...]
 
-    def edges_of(self, cid: int) -> tuple[Edge3, ...]:
-        if not 0 <= cid < self.component_count:
-            raise InvalidArgumentError(f"component id {cid} out of range")
-        return tuple(e for e, c in self.labels.items() if c == cid)
-
 
 def tight_components(H: Hypergraph3) -> TightComponentLabeling:
     """Label every edge with its tight component.

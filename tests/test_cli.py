@@ -211,3 +211,17 @@ def test_csv_rows_have_two_fields(capsys, tmp_path):
     assert all(len(row) == 2 for row in rows)
     code, out, _ = run_cli(capsys, "cycle", str(path))
     assert json.loads(dict(rows)["order"]) == json.loads(out)["order"]
+
+
+def test_internal_failure_exits_3(capsys, k5_file, monkeypatch):
+    from tightcycle import cli
+    from tightcycle.errors import InvariantViolation
+
+    def broken(H):
+        raise InvariantViolation("labeling lost an edge", witness=(1, 2, 3))
+
+    monkeypatch.setattr(cli, "tight_components", broken)
+    code, out, err = run_cli(capsys, "info", k5_file)
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: labeling lost an edge\n"

@@ -114,19 +114,25 @@ def test_read_comments_and_order():
     assert H.edges == ((1, 3, 5), (2, 4, 5))
 
 
-@pytest.mark.parametrize(
-    "text,line",
-    [
-        ("2 4\n1 2 3\n", 1),  # wrong arity header for .3g
-        ("3 x\n", 1),
-        ("3 4\n1 2\n", 2),
-        ("3 4\n1 2 9\n", 2),
-        ("3 4\n1 two 3\n", 2),
-    ],
-)
-def test_read_errors(text, line):
+READ_ERROR_CASES = [
+    # (text, line of the error, reader); ids are "text-line"
+    ("2 4\n1 2 3\n", 1, read_hypergraph),  # wrong arity header for .3g
+    ("3 x\n", 1, read_hypergraph),
+    ("3 4\n1 2\n", 2, read_hypergraph),
+    ("3 4\n1 2 9\n", 2, read_hypergraph),
+    ("3 4\n1 two 3\n", 2, read_hypergraph),
+    ("3 4\n1 1 2\n", 2, read_hypergraph),  # repeated vertex
+    ("3 -1\n", 1, read_hypergraph),  # negative vertex count
+    ("# made by hand\n3 4\n1 2 5\n", 3, read_hypergraph),  # comment before header
+    ("2 4\n1 2\n2 1\n", 3, read_graph),  # duplicate pair in a .2g
+]
+
+
+@pytest.mark.parametrize("text,line,read", READ_ERROR_CASES,
+                         ids=[f"{text}-{line}" for text, line, _ in READ_ERROR_CASES])
+def test_read_errors(text, line, read):
     with pytest.raises(ParseError) as err:
-        read_hypergraph(text)
+        read(text)
     assert err.value.line == line
 
 

@@ -20,7 +20,6 @@ from tightcycle.slices import (
     relative_degree_vertex,
     relative_density,
     sub_polyad_density,
-    zeta,
 )
 
 
@@ -111,14 +110,14 @@ def test_zeta_counts():
     all_regular = ReducedGraph(
         t=6, m=1, densities=ds, regular={X: True for X in triples}, d_threshold=Fraction(0)
     )
-    assert zeta(all_regular, 0) == 0
+    assert all_regular.zeta(0) == 0
 
     targeted = ReducedGraph(
         t=6, m=1, densities=ds,
         regular={X: 0 not in X for X in triples},
         d_threshold=Fraction(0),
     )
-    assert zeta(targeted, 0) == 1
+    assert targeted.zeta(0) == 1
 
     three_bad = set(list(X for X in triples if 0 in X)[:3])
     R = ReducedGraph(
@@ -126,7 +125,7 @@ def test_zeta_counts():
         regular={X: X not in three_bad for X in triples},
         d_threshold=Fraction(0),
     )
-    assert zeta(R, 0) == Fraction(3, 10)
+    assert R.zeta(0) == Fraction(3, 10)
 
 
 def test_reduced_degree_trivial_configurations():
