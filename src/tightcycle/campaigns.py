@@ -40,6 +40,13 @@ from .slices import ReducedGraph, reduced_degree_check
 from .tight import tight_components
 
 MAX_RECORDED_FAILURES = 25
+FARKAS_SIZES = (6, 9, 12)
+REDUCED_DEGREE_T_VALUES = tuple(range(4, 11))
+CYCLE_ORACLE_MIN_N = 4
+
+# What one trial returns: its failure records (empty when it passed) and the
+# name of a stats counter to increment, or None.
+TrialOutcome = tuple[list[dict], str | None]
 
 
 @dataclass
@@ -77,6 +84,19 @@ def _map_trials(worker, trials: int, jobs: int) -> list:
         return list(pool.map(worker, range(trials), chunksize=chunk))
 
 
+def _run_trials(name: str, trials: int, jobs: int, trial, stats: dict) -> CampaignResult:
+    """Run trial(i) -> TrialOutcome for every i < trials on `jobs` processes
+    and collect the outcomes into one result; each trial derives its
+    randomness from i, so the result does not depend on `jobs`."""
+    result = CampaignResult(name=name, trials=trials, stats=stats)
+    for failures, tally in _map_trials(trial, trials, jobs):
+        for failure in failures:
+            result.record(failure)
+        if tally:
+            result.stats[tally] += 1
+    return result
+
+
 # ---------------------------------------------------------------------------
 # dense-pair component facts
 # ---------------------------------------------------------------------------
@@ -90,17 +110,17 @@ def _random_dense_graph(n: int, rng: random.Random) -> Graph:
     return Graph(n, pairs)
 
 
-def _graphmeet_trial(i: int, n: int, seed: int) -> dict | None:
+def _graphmeet_trial(i: int, n: int, seed: int) -> TrialOutcome:
     rng = random.Random(derive_seed(seed, i))
     G1 = _random_dense_graph(n, rng)
     G2 = _random_dense_graph(n, rng)
     report = graphmeet_verify(G1, G2)
     if not report.all_verdicts():
-        return {"trial": i, "n": n, "problem": "verdict false", "report": report.to_json_dict()}
+        return [{"trial": i, "n": n, "problem": "verdict false", "report": report.to_json_dict()}], None
     problems = reverify_graphmeet(G1, G2, report)
     if problems:
-        return {"trial": i, "n": n, "problem": "; ".join(problems)}
-    return None
+        return [{"trial": i, "n": n, "problem": "; ".join(problems)}], None
+    return [], None
 
 
 def run_graphmeet_campaign(n: int, trials: int, seed: int, jobs: int = 1) -> CampaignResult:
@@ -108,11 +128,7 @@ def run_graphmeet_campaign(n: int, trials: int, seed: int, jobs: int = 1) -> Cam
     evidence must survive independent re-verification."""
     if n % 3 != 0:
         raise TclError(f"campaign needs 3 | n, got n={n}")
-    result = CampaignResult(name="graphmeet", trials=trials, stats={"n": n})
-    for failure in _map_trials(partial(_graphmeet_trial, n=n, seed=seed), trials, jobs):
-        if failure:
-            result.record(failure)
-    return result
+    return _run_trials("graphmeet", trials, jobs, partial(_graphmeet_trial, n=n, seed=seed), {"n": n})
 
 
 # ---------------------------------------------------------------------------
@@ -120,27 +136,27 @@ def run_graphmeet_campaign(n: int, trials: int, seed: int, jobs: int = 1) -> Cam
 # ---------------------------------------------------------------------------
 
 
-def _fracmatch_trial(i: int, n: int, seed: int, p: float) -> dict | None:
+def _fracmatch_trial(i: int, n: int, seed: int, p: float) -> TrialOutcome:
     target = min_degree_bound(n)
     try:
         H = random_min_degree_3graph(n, target, derive_seed(seed, i), max_attempts=400, p=p)
     except GenerationError as exc:
-        return {"trial": i, "n": n, "problem": f"generation failed: {exc}"}
+        return [{"trial": i, "n": n, "problem": f"generation failed: {exc}"}], None
     try:
         res = tight_perfect_fractional_matching(H)
     except TclError as exc:
-        return {"trial": i, "n": n, "problem": f"{type(exc).__name__}: {exc}"}
-    out: dict | None = None
+        return [{"trial": i, "n": n, "problem": f"{type(exc).__name__}: {exc}"}], None
+    problem = None
     if 3 * res.matching.total_weight != n:
-        out = {"trial": i, "n": n, "problem": f"total weight {res.matching.total_weight} != n/3"}
+        problem = f"total weight {res.matching.total_weight} != n/3"
     elif 9 * res.subgraph_min_degree < 4 * comb(n, 2):
-        out = {"trial": i, "n": n, "problem": f"subgraph min degree {res.subgraph_min_degree} too small"}
+        problem = f"subgraph min degree {res.subgraph_min_degree} too small"
     else:
         try:
             res.matching.validate(H)  # includes support-in-one-component check
         except InvariantViolation as exc:
-            out = {"trial": i, "n": n, "problem": str(exc)}
-    return out
+            problem = str(exc)
+    return ([{"trial": i, "n": n, "problem": problem}] if problem else []), None
 
 
 def fracmatch_edge_probability(n: int) -> float:
@@ -154,11 +170,8 @@ def run_fracmatch_campaign(n: int, trials: int, seed: int, jobs: int = 1) -> Cam
     if n % 3 != 0:
         raise TclError(f"campaign needs 3 | n, got n={n}")
     p = fracmatch_edge_probability(n)
-    result = CampaignResult(name="fracmatch", trials=trials, stats={"n": n, "p": round(p, 4)})
-    for failure in _map_trials(partial(_fracmatch_trial, n=n, seed=seed, p=p), trials, jobs):
-        if failure:
-            result.record(failure)
-    return result
+    trial = partial(_fracmatch_trial, n=n, seed=seed, p=p)
+    return _run_trials("fracmatch", trials, jobs, trial, {"n": n, "p": round(p, 4)})
 
 
 # ---------------------------------------------------------------------------
@@ -166,14 +179,13 @@ def run_fracmatch_campaign(n: int, trials: int, seed: int, jobs: int = 1) -> Cam
 # ---------------------------------------------------------------------------
 
 
-def _largest_tight_component(H) -> int:
-    lab = tight_components(H)
+def _largest_tight_component(lab) -> int:
     return max(range(lab.component_count), key=lambda c: (lab.component_sizes[c], -c))
 
 
-def _farkas_trial(i: int, seed: int, sizes: tuple[int, ...]) -> tuple[str | None, dict | None]:
+def _farkas_trial(i: int, seed: int) -> TrialOutcome:
     rng = random.Random(derive_seed(seed, i, 77))
-    n = rng.choice(sizes)
+    n = rng.choice(FARKAS_SIZES)
     if i % 3 == 0:
         a = rng.randint(1, max(1, n // 3))
         H = extremal(n, a).hypergraph
@@ -182,10 +194,10 @@ def _farkas_trial(i: int, seed: int, sizes: tuple[int, ...]) -> tuple[str | None
         p = rng.uniform(0.15, 0.95)
         H = random_3graph(n, p, derive_seed(seed, i, 78))
         if not H.edges:
-            return None, None  # nothing to decide; skip
+            return [], "skipped"  # nothing to decide
         expect = None
     lab = tight_components(H)
-    cid = _largest_tight_component(H)
+    cid = _largest_tight_component(lab)
     outcome = perfect_or_certificate(H, cid, lab)
     if isinstance(outcome, FractionalMatching):
         kind = "perfect"
@@ -194,35 +206,26 @@ def _farkas_trial(i: int, seed: int, sizes: tuple[int, ...]) -> tuple[str | None
             if 3 * outcome.total_weight != n:
                 raise InvariantViolation(f"claimed perfect but weight {outcome.total_weight}")
         except InvariantViolation as exc:
-            return kind, {"trial": i, "n": n, "problem": str(exc)}
+            return [{"trial": i, "n": n, "problem": str(exc)}], kind
     else:
         kind = "certificate"
         restricted = [e for e in H.edges if lab.labels[e] == cid]
         try:
             outcome.validate(restricted)
         except InvariantViolation as exc:
-            return kind, {"trial": i, "n": n, "problem": str(exc)}
+            return [{"trial": i, "n": n, "problem": str(exc)}], kind
     if expect and kind != expect:
-        return kind, {"trial": i, "n": n, "problem": f"expected {expect}, got {kind}"}
-    return kind, None
+        return [{"trial": i, "n": n, "problem": f"expected {expect}, got {kind}"}], kind
+    return [], kind
 
 
-def run_farkas_campaign(
-    trials: int, seed: int, sizes: tuple[int, ...] = (6, 9, 12), jobs: int = 1
-) -> CampaignResult:
+def run_farkas_campaign(trials: int, seed: int, jobs: int = 1) -> CampaignResult:
     """Mixed instances (extremal family plus random): exactly one of a
     perfect matching or an exactly-verified certificate comes back, and the
     pinned extremal case must certify with maximum weight 2."""
-    result = CampaignResult(name="farkas", trials=trials, stats={"sizes": list(sizes)})
-    counts = {"perfect": 0, "certificate": 0, "skipped": 0}
-    for kind, failure in _map_trials(partial(_farkas_trial, seed=seed, sizes=sizes), trials, jobs):
-        if kind is None:
-            counts["skipped"] += 1
-        else:
-            counts[kind] += 1
-        if failure:
-            result.record(failure)
-    result.stats.update(counts)
+    stats = {"sizes": list(FARKAS_SIZES), "perfect": 0, "certificate": 0, "skipped": 0}
+    result = _run_trials("farkas", trials, jobs, partial(_farkas_trial, seed=seed), stats)
+    counts = {k: result.stats[k] for k in ("perfect", "certificate", "skipped")}
     if counts["perfect"] == 0 or counts["certificate"] == 0:
         result.record({"problem": f"campaign did not exercise both outcomes: {counts}"})
 
@@ -262,28 +265,23 @@ def _random_reduced_graph(rng: random.Random, t: int) -> ReducedGraph:
     return ReducedGraph(t=t, m=1, densities=densities, regular=regular, d_threshold=d)
 
 
-def run_reduced_degree_campaign(
-    trials: int, seed: int, t_values: tuple[int, ...] = tuple(range(4, 11))
-) -> CampaignResult:
+def _reduced_degree_trial(i: int, seed: int) -> TrialOutcome:
+    rng = random.Random(derive_seed(seed, i))
+    t = rng.choice(REDUCED_DEGREE_T_VALUES)
+    R = _random_reduced_graph(rng, t)
+    failures = [
+        {"trial": i, "t": t, "cluster": rep.cluster, "lhs": str(rep.lhs), "rhs": str(rep.rhs)}
+        for rep in reduced_degree_check(R)
+        if not rep.ok
+    ]
+    return failures, None
+
+
+def run_reduced_degree_campaign(trials: int, seed: int) -> CampaignResult:
     """Adversarial and random density/label configurations: the thresholded
     degree inequality must hold for every cluster, exactly."""
-    result = CampaignResult(name="reduced-degree", trials=trials, stats={"t_values": list(t_values)})
-    for i in range(trials):
-        rng = random.Random(derive_seed(seed, i))
-        t = rng.choice(t_values)
-        R = _random_reduced_graph(rng, t)
-        for rep in reduced_degree_check(R):
-            if not rep.ok:
-                result.record(
-                    {
-                        "trial": i,
-                        "t": t,
-                        "cluster": rep.cluster,
-                        "lhs": str(rep.lhs),
-                        "rhs": str(rep.rhs),
-                    }
-                )
-    return result
+    stats = {"t_values": list(REDUCED_DEGREE_T_VALUES)}
+    return _run_trials("reduced-degree", trials, 1, partial(_reduced_degree_trial, seed=seed), stats)
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +333,7 @@ def run_erdos_gallai_exhaustive(max_n: int = 7) -> CampaignResult:
     return result
 
 
-def _eg_random_trial(i: int, seed: int, max_n: int) -> dict | None:
+def _eg_random_trial(i: int, seed: int, max_n: int) -> TrialOutcome:
     rng = random.Random(derive_seed(seed, i))
     N = rng.randint(2, max_n)
     p = rng.uniform(0.1, 0.95)
@@ -345,16 +343,13 @@ def _eg_random_trial(i: int, seed: int, max_n: int) -> dict | None:
     e = len(edges)
     for k in range(1, N // 2 + 2):
         if N >= 2 * k - 1 and e > erdos_gallai_threshold(N, k) and nu < k:
-            return {"trial": i, "N": N, "e": e, "k": k, "nu": nu}
-    return None
+            return [{"trial": i, "N": N, "e": e, "k": k, "nu": nu}], None
+    return [], None
 
 
 def run_erdos_gallai_random(trials: int, seed: int, max_n: int = 12, jobs: int = 1) -> CampaignResult:
-    result = CampaignResult(name="erdos-gallai-random", trials=trials, stats={"max_n": max_n})
-    for failure in _map_trials(partial(_eg_random_trial, seed=seed, max_n=max_n), trials, jobs):
-        if failure:
-            result.record(failure)
-    return result
+    trial = partial(_eg_random_trial, seed=seed, max_n=max_n)
+    return _run_trials("erdos-gallai-random", trials, jobs, trial, {"max_n": max_n})
 
 
 # ---------------------------------------------------------------------------
@@ -364,9 +359,9 @@ def run_erdos_gallai_random(trials: int, seed: int, max_n: int = 12, jobs: int =
 
 def run_extremal_bound_campaign(max_n: int = 12) -> CampaignResult:
     """Exact reproduction of the extremal family facts for all n <= max_n:
-    the min-degree formula for every a, the 3a cycle law whenever
-    4 <= 3a <= n, Hamilton length when 3a > n (and a >= 2), and no cycle at
-    all when a = 1."""
+    the min-degree formula for every a and, for n >= 4, the longest tight
+    cycle: none when a = 1, length 3a when 3a <= n, Hamilton length n when
+    3a > n."""
     result = CampaignResult(name="extremal-bound", trials=0, stats={})
     checked = 0
     cycles_checked = 0
@@ -378,23 +373,14 @@ def run_extremal_bound_campaign(max_n: int = 12) -> CampaignResult:
             predicted = comb(n - 1, 2) - (comb(b - 1, 2) if b >= 1 else 0)
             if inst.predicted_min_degree != predicted:
                 result.record({"n": n, "a": a, "problem": "formula mismatch"})
-            if n >= 4 and a == 1:
-                cyc = longest_tight_cycle(inst.hypergraph)
-                cycles_checked += 1
-                if cyc is not None:
-                    result.record({"n": n, "a": a, "problem": f"unexpected cycle {cyc.order}"})
-            elif 4 <= 3 * a <= n:
-                cyc = longest_tight_cycle(inst.hypergraph)
-                cycles_checked += 1
-                if cyc is None or cyc.length != 3 * a:
-                    got = cyc.length if cyc else None
-                    result.record({"n": n, "a": a, "problem": f"cycle length {got} != {3 * a}"})
-            elif 3 * a > n and a >= 2 and n >= 4:
-                cyc = longest_tight_cycle(inst.hypergraph)
-                cycles_checked += 1
-                if cyc is None or cyc.length != n:
-                    got = cyc.length if cyc else None
-                    result.record({"n": n, "a": a, "problem": f"cycle length {got} != n = {n}"})
+            if n < 4:
+                continue
+            expected = 0 if a == 1 else min(3 * a, n)  # 0: no cycle at all
+            cyc = longest_tight_cycle(inst.hypergraph)
+            cycles_checked += 1
+            got = cyc.length if cyc else 0
+            if got != expected:
+                result.record({"n": n, "a": a, "problem": f"cycle length {got} != {expected}"})
     result.trials = checked
     result.stats.update({"pairs_checked": checked, "cycles_checked": cycles_checked})
     return result
@@ -405,9 +391,9 @@ def run_extremal_bound_campaign(max_n: int = 12) -> CampaignResult:
 # ---------------------------------------------------------------------------
 
 
-def _cycle_oracle_trial(i: int, seed: int, min_n: int, max_n: int) -> dict | None:
+def _cycle_oracle_trial(i: int, seed: int, max_n: int) -> TrialOutcome:
     rng = random.Random(derive_seed(seed, i))
-    n = rng.randint(min_n, max_n)
+    n = rng.randint(CYCLE_ORACLE_MIN_N, max_n)
     p = rng.uniform(0.15, 0.85)
     H = random_3graph(n, p, derive_seed(seed, i, 5))
     dp = longest_tight_cycle(H)
@@ -415,22 +401,14 @@ def _cycle_oracle_trial(i: int, seed: int, min_n: int, max_n: int) -> dict | Non
     dp_len = dp.length if dp else 0
     bf_len = bf.length if bf else 0
     if dp_len != bf_len:
-        return {"trial": i, "n": n, "p": round(p, 3), "dp": dp_len, "oracle": bf_len}
-    return None
+        return [{"trial": i, "n": n, "p": round(p, 3), "dp": dp_len, "oracle": bf_len}], None
+    return [], None
 
 
-def run_cycle_oracle_campaign(
-    trials: int, seed: int, min_n: int = 4, max_n: int = 9, jobs: int = 1
-) -> CampaignResult:
-    result = CampaignResult(
-        name="cycle-oracle", trials=trials, stats={"min_n": min_n, "max_n": max_n}
-    )
-    for failure in _map_trials(
-        partial(_cycle_oracle_trial, seed=seed, min_n=min_n, max_n=max_n), trials, jobs
-    ):
-        if failure:
-            result.record(failure)
-    return result
+def run_cycle_oracle_campaign(trials: int, seed: int, max_n: int = 9, jobs: int = 1) -> CampaignResult:
+    trial = partial(_cycle_oracle_trial, seed=seed, max_n=max_n)
+    stats = {"min_n": CYCLE_ORACLE_MIN_N, "max_n": max_n}
+    return _run_trials("cycle-oracle", trials, jobs, trial, stats)
 
 
 # ---------------------------------------------------------------------------
@@ -438,17 +416,15 @@ def run_cycle_oracle_campaign(
 # ---------------------------------------------------------------------------
 
 
-def run_pipeline_determinism(
-    n: int = 30, t: int = 6, seed: int = 7, d_threshold=Fraction(1, 20),
-    eps: float = 0.25, samples: int = 40,
-) -> CampaignResult:
-    """Complete 3-graph through the whole pipeline, twice: the run must end
-    in a valid cycle covering all undeleted vertices and the canonical
-    (timing-free) reports must be byte-identical."""
+def run_pipeline_determinism(n: int = 30, t: int = 6, seed: int = 7) -> CampaignResult:
+    """Complete 3-graph through the whole pipeline at the CLI's default
+    threshold, eps and sample count, twice: the run must end in a valid
+    cycle covering all undeleted vertices and the canonical (timing-free)
+    reports must be byte-identical."""
     result = CampaignResult(name="pipeline-determinism", trials=2, stats={"n": n, "t": t})
     H = complete_3graph(n)
-    r1 = run_pipeline(H, t, d_threshold, eps, samples, seed)
-    r2 = run_pipeline(H, t, d_threshold, eps, samples, seed)
+    r1 = run_pipeline(H, t, Fraction(1, 20), 0.25, 40, seed)
+    r2 = run_pipeline(H, t, Fraction(1, 20), 0.25, 40, seed)
     if not r1.ok:
         result.record({"problem": f"pipeline failed at stage {r1.failed_stage()}"})
     else:

@@ -95,11 +95,12 @@ def _flatten(obj, prefix: str = ""):
         yield prefix.rstrip("."), obj
 
 
-def _parse_threshold(text: str):
+def _parse_threshold(text: str) -> Fraction:
+    """A rational ("1/20") or a decimal ("0.05", "5e-2"), read exactly."""
     try:
-        return Fraction(text) if "/" in text or "." not in text else float(text)
+        return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise TclError(f"density threshold {text!r} is not a rational or a float")
+        raise TclError(f"density threshold {text!r} is not a rational or a decimal")
 
 
 def cmd_info(args) -> int:
@@ -267,32 +268,31 @@ def cmd_pipeline(args) -> int:
     return EXIT_OK if report.ok else EXIT_VERDICT_FALSE
 
 
+def _verify_erdos_gallai(args, seed: int):
+    result = campaigns.run_erdos_gallai_exhaustive(args.exhaustive_n)
+    if result.passed:
+        rnd = campaigns.run_erdos_gallai_random(args.trials, seed, max_n=args.max_n, jobs=args.jobs)
+        result.trials += rnd.trials
+        result.failures.extend(rnd.failures)
+        result.stats.update({"random_trials": rnd.trials})
+    return result
+
+
+# `tcl verify` campaign name -> call(args, seed) returning a CampaignResult.
+CAMPAIGNS = {
+    "graphmeet": lambda a, seed: campaigns.run_graphmeet_campaign(a.n or 9, a.trials, seed, jobs=a.jobs),
+    "fracmatch": lambda a, seed: campaigns.run_fracmatch_campaign(a.n or 9, a.trials, seed, jobs=a.jobs),
+    "farkas": lambda a, seed: campaigns.run_farkas_campaign(a.trials, seed, jobs=a.jobs),
+    "reduced-degree": lambda a, seed: campaigns.run_reduced_degree_campaign(a.trials, seed),
+    "erdos-gallai": _verify_erdos_gallai,
+    "extremal-bound": lambda a, seed: campaigns.run_extremal_bound_campaign(a.max_n),
+    "cycle-oracle": lambda a, seed: campaigns.run_cycle_oracle_campaign(a.trials, seed, min(a.max_n, 9), a.jobs),
+    "pipeline": lambda a, seed: campaigns.run_pipeline_determinism(n=a.n or 30, t=a.t, seed=seed),
+}
+
+
 def cmd_verify(args) -> int:
-    seed = _default_seed(args.seed)
-    name = args.campaign
-    if name == "graphmeet":
-        result = campaigns.run_graphmeet_campaign(args.n or 9, args.trials, seed, jobs=args.jobs)
-    elif name == "fracmatch":
-        result = campaigns.run_fracmatch_campaign(args.n or 9, args.trials, seed, jobs=args.jobs)
-    elif name == "farkas":
-        result = campaigns.run_farkas_campaign(args.trials, seed, jobs=args.jobs)
-    elif name == "reduced-degree":
-        result = campaigns.run_reduced_degree_campaign(args.trials, seed)
-    elif name == "erdos-gallai":
-        result = campaigns.run_erdos_gallai_exhaustive(args.exhaustive_n)
-        if result.passed:
-            rnd = campaigns.run_erdos_gallai_random(args.trials, seed, max_n=args.max_n, jobs=args.jobs)
-            result.trials += rnd.trials
-            result.failures.extend(rnd.failures)
-            result.stats.update({"random_trials": rnd.trials})
-    elif name == "extremal-bound":
-        result = campaigns.run_extremal_bound_campaign(args.max_n)
-    elif name == "cycle-oracle":
-        result = campaigns.run_cycle_oracle_campaign(args.trials, seed, max_n=min(args.max_n, 9), jobs=args.jobs)
-    elif name == "pipeline":
-        result = campaigns.run_pipeline_determinism(n=args.n or 30, t=args.t, seed=seed)
-    else:
-        raise TclError(f"unknown campaign {name!r}")
+    result = CAMPAIGNS[args.campaign](args, _default_seed(args.seed))
     _emit(result.to_json_dict(), args.format)
     return EXIT_OK if result.passed else EXIT_VERDICT_FALSE
 
@@ -304,16 +304,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, help_, **kw):
-        p = sub.add_parser(name, help=help_, **kw)
+    def add(name, fn, help_, report=True):
+        """A subcommand; one that prints a report takes --format."""
+        p = sub.add_parser(name, help=help_)
         p.set_defaults(fn=fn)
-        p.add_argument("--format", default="json", choices=("json", "text", "csv"))
+        if report:
+            p.add_argument("--format", default="json", choices=("json", "text", "csv"))
         return p
 
     p = add("info", cmd_info, "summary statistics of a .3g file")
     p.add_argument("file")
 
-    p = add("link", cmd_link, "emit the link graph of a vertex as .2g")
+    p = add("link", cmd_link, "emit the link graph of a vertex as .2g", report=False)
     p.add_argument("file")
     p.add_argument("vertex", type=int)
 
@@ -347,12 +349,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("sequence", help="comma- or space-separated vertices")
 
-    p = add("extremal", cmd_extremal, "emit the extremal instance as .3g")
+    p = add("extremal", cmd_extremal, "emit the extremal instance as .3g", report=False)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--a", type=int)
     p.add_argument("--eta", type=float, help="choose a from an eta value instead of --a")
 
-    p = add("random", cmd_random, "emit a random .3g (optionally degree-conditioned)")
+    p = add("random", cmd_random, "emit a random .3g (optionally degree-conditioned)", report=False)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--p", type=float)
     p.add_argument("--seed", type=int)
@@ -367,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("reduce", cmd_reduce, "reduced graph with densities and labels")
     p.add_argument("file")
     p.add_argument("--t", type=int, default=6)
-    p.add_argument("--d", default="1/20", help="density threshold (rational or float)")
+    p.add_argument("--d", default="1/20", help="density threshold (rational or decimal, read exactly)")
     p.add_argument("--eps", type=float, default=0.25)
     p.add_argument("--samples", type=int, default=40)
     p.add_argument("--seed", type=int)
@@ -384,10 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="emit the compact timing-free canonical report")
 
     p = add("verify", cmd_verify, "run a verification campaign")
-    p.add_argument("campaign", choices=(
-        "graphmeet", "fracmatch", "farkas", "reduced-degree", "erdos-gallai",
-        "extremal-bound", "cycle-oracle", "pipeline",
-    ))
+    p.add_argument("campaign", choices=CAMPAIGNS)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int)
     p.add_argument("--n", type=int)

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -37,6 +38,13 @@ from .tight import tight_components
 
 DP_MAX_N = 22
 MIN_CYCLE_LENGTH = 4
+
+# Matching-guided heuristic: step budgets of the cluster-walk planner and of
+# the vertex backtracking per restart, and the scales tried, largest first,
+# on the per-cluster targets.
+PLAN_BUDGET = 200_000
+VERTEX_BUDGET = 400_000
+QUOTA_SCALES = (1.0, 0.9, 0.8, 0.7, 0.6, 0.5, 0.4)
 
 
 @dataclass(frozen=True)
@@ -234,11 +242,12 @@ def brute_force_longest_cycle(H: Hypergraph3) -> TightCycle | None:
 
 @dataclass(frozen=True)
 class CycleSearchParams:
+    """Seed and restarts per quota scale of matching_guided_cycle; its step
+    budgets and scales are the constants PLAN_BUDGET, VERTEX_BUDGET and
+    QUOTA_SCALES."""
+
     seed: int = 0
     restarts: int = 8
-    plan_budget: int = 200_000
-    vertex_budget: int = 400_000
-    quota_scales: tuple[float, ...] = (1.0, 0.9, 0.8, 0.7, 0.6, 0.5, 0.4)
 
 
 @dataclass(frozen=True)
@@ -418,19 +427,23 @@ def matching_guided_cycle(
             loads[cv - 1] = loads.get(cv - 1, Fraction(0)) + Fraction(w)
     targets = {c: min(m, round(load * m)) for c, load in sorted(loads.items())}
 
-    longest: tuple[int, ...] = ()
     lookup = S.cluster_lookup()
-    for si, scale in enumerate(params.quota_scales):
+
+    def coverage(vertices) -> dict[int, int]:
+        return dict(Counter(lookup[v] for v in vertices))
+
+    longest: tuple[int, ...] = ()
+    for si, scale in enumerate(QUOTA_SCALES):
         quotas = {c: min(m, math.floor(q * scale)) for c, q in targets.items()}
         quotas = {c: q for c, q in quotas.items() if q > 0}
         if sum(quotas.values()) < MIN_CYCLE_LENGTH:
             continue
-        plan = _plan_cluster_walk(rd, quotas, params.plan_budget)
+        plan = _plan_cluster_walk(rd, quotas, PLAN_BUDGET)
         if plan is None:
             continue
         for restart in range(params.restarts):
             rng = random.Random(derive_seed(params.seed, si, restart))
-            order, prefix = _instantiate_plan(H, S.clusters, plan, rng, params.vertex_budget)
+            order, prefix = _instantiate_plan(H, S.clusters, plan, rng, VERTEX_BUDGET)
             if len(prefix) > len(longest):
                 longest = prefix
             if order is not None:
@@ -440,26 +453,20 @@ def matching_guided_cycle(
                     raise InvariantViolation(
                         f"heuristic produced an invalid cycle: {check}", witness=order
                     )
-                coverage: dict[int, int] = {}
-                for v in order:
-                    coverage[lookup[v]] = coverage.get(lookup[v], 0) + 1
                 return CycleSearchResult(
                     success=True,
                     cycle=cycle,
-                    coverage=coverage,
+                    coverage=coverage(order),
                     targets=targets,
                     plan=plan,
                     scale_used=scale,
                     longest_path=prefix,
                     detail=f"cycle of length {cycle.length} at quota scale {scale}",
                 )
-    coverage = {}
-    for v in longest:
-        coverage[lookup[v]] = coverage.get(lookup[v], 0) + 1
     return CycleSearchResult(
         success=False,
         cycle=None,
-        coverage=coverage,
+        coverage=coverage(longest),
         targets=targets,
         plan=None,
         scale_used=None,

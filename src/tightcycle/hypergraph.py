@@ -116,13 +116,12 @@ class Hypergraph3:
             raise InvalidArgumentError(f"s must be 1 or 2, got {s}")
         if self.n < s:
             raise InvalidArgumentError(f"n={self.n} < s={s}")
+        # An edge covers 3 vertices and 3 pairs: with too few edges some
+        # vertex or pair has degree 0, found without listing them all.
         if s == 1:
-            return min(self.degrees[1:])
+            return 0 if 3 * len(self.edges) < self.n else min(self.degrees[1:])
         pidx = self.pair_index
-        return min(
-            len(pidx.get(p, ()))
-            for p in itertools.combinations(range(1, self.n + 1), 2)
-        )
+        return 0 if len(pidx) < comb(self.n, 2) else min(map(len, pidx.values()))
 
     def link_graph(self, v: int) -> "Graph":
         """Link graph of v on the full vertex set (v itself stays, isolated)."""

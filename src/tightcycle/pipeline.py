@@ -3,8 +3,10 @@ clusters, match fractionally on the restricted reduced graph, then grow a
 cycle guided by the matching.
 
 Every stage is recorded in a report even when it fails; later stages are
-then marked skipped.  Reports serialize to JSON with a canonical form that
-excludes timings, so pinned-seed runs are byte-identical.
+then marked skipped.  An InvariantViolation is a bug, not a negative result,
+so it is not recorded: it propagates with the stage name in its message.
+Reports serialize to JSON with a canonical form that excludes timings, so
+pinned-seed runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -14,13 +16,12 @@ import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
 
 from .cycles import CycleSearchParams, matching_guided_cycle
-from .errors import TclError
+from .errors import InvariantViolation, TclError
 from .fractional import FractionalMatching, tight_perfect_fractional_matching
 from .generators import derive_seed
-from .hypergraph import Hypergraph3
+from .hypergraph import Hypergraph3, density
 from .slices import ReducedGraph, build_reduced_graph, build_weak_slice, good_clusters
 
 
@@ -69,7 +70,7 @@ class PipelineReport:
 def run_pipeline(
     H: Hypergraph3,
     t: int,
-    d_threshold,
+    d_threshold: Fraction,
     eps: float,
     samples: int,
     seed: int,
@@ -90,6 +91,8 @@ def run_pipeline(
         start = time.perf_counter()
         try:
             detail = fn()
+        except InvariantViolation as exc:
+            raise InvariantViolation(f"stage {name}: {exc}", exc.witness) from exc
         except TclError as exc:
             stages.append(StageRecord(name, "failed", {"error": str(exc)}))
             return False
@@ -101,14 +104,11 @@ def run_pipeline(
     state: dict = {}
 
     def stage_input():
-        delta = H.min_degree(1) if H.n >= 1 else 0
-        total = comb(H.n, 3)
-        state["delta"] = delta
         return {
             "n": H.n,
             "edges": len(H.edges),
-            "min_degree": delta,
-            "density": str(Fraction(len(H.edges), total)) if total else "0",
+            "min_degree": H.min_degree(1) if H.n >= 1 else 0,
+            "density": str(density(H)),
         }
 
     def stage_slice():

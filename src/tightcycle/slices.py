@@ -232,7 +232,7 @@ class ReducedGraph:
     m: int
     densities: dict[Triple, Fraction]
     regular: dict[Triple, bool]
-    d_threshold: Fraction | float
+    d_threshold: Fraction
 
     def __post_init__(self):
         expected = set(itertools.combinations(range(self.t), 3))
@@ -308,7 +308,7 @@ def mean_relative_degree(H: Hypergraph3, vertices: Iterable[int]) -> Fraction:
 class ClusterDegreeReport:
     cluster: int
     lhs: Fraction  # relative degree in the thresholded reduced graph
-    rhs: Fraction | float  # weighted relative degree - d - zeta
+    rhs: Fraction  # weighted relative degree - d - zeta
     ok: bool
 
 
@@ -330,7 +330,7 @@ def reduced_degree_check(R: ReducedGraph) -> list[ClusterDegreeReport]:
 def build_reduced_graph(
     H: Hypergraph3,
     S: WeakSlice,
-    d_threshold,
+    d_threshold: Fraction,
     eps: float,
     samples: int,
     seed: int,

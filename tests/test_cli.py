@@ -182,6 +182,8 @@ BAD_INPUT_CASES = [
     ("file-not-utf8", ["info", "{file}"], {}, b"3 4\n1 2 3\n\xff\xfe\n"),
     ("threshold-not-a-number", ["reduce", "{file}", "--t", "3", "--d", "abc"], {}, None),
     ("threshold-zero-denominator", ["pipeline", "{file}", "--t", "3", "--d", "1/0"], {}, None),
+    ("threshold-nan", ["reduce", "{file}", "--t", "3", "--d", "nan"], {}, None),
+    ("threshold-inf", ["pipeline", "{file}", "--t", "3", "--d", "inf"], {}, None),
 ]
 
 
@@ -225,3 +227,56 @@ def test_internal_failure_exits_3(capsys, k5_file, monkeypatch):
     assert code == 3
     assert out == ""
     assert err == "internal error: labeling lost an edge\n"
+
+
+def test_decimal_and_rational_threshold_agree(capsys, tmp_path):
+    import itertools
+    import random
+
+    from tightcycle.cli import _parse_threshold
+    from tightcycle.hypergraph import Hypergraph3
+    from tightcycle.slices import build_reduced_graph, build_weak_slice
+
+    # 50 of the 1000 crossing triples of a 30-vertex, t-3 slice: density
+    # exactly 1/20, which the threshold 0.05 must keep just as 1/20 does.
+    S = build_weak_slice(Hypergraph3(30, []), 3, 5)
+    crossing = list(itertools.product(*S.clusters))
+    H = Hypergraph3(30, random.Random(5).sample(crossing, 50))
+    path = tmp_path / "h.3g"
+    path.write_text(write_hypergraph(H))
+    outs = []
+    for d in ("0.05", "1/20", "5e-2"):
+        code, out, _ = run_cli(capsys, "reduce", str(path), "--t", "3", "--seed", "5", "--d", d)
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1] == outs[2]
+    report = json.loads(outs[0])
+    assert report["d_threshold"] == "1/20"
+    assert report["triples"] == [{"X": [0, 1, 2], "d": "1/20", "regular": True}]
+    R = build_reduced_graph(H, S, _parse_threshold("0.05"), 0.25, 40, 5)
+    assert R.thresholded_edges() == [(0, 1, 2)]
+
+
+@pytest.mark.parametrize("command", [["link", "{file}", "1"], ["extremal", "--n", "6", "--a", "2"],
+                                     ["random", "--n", "6", "--p", "0.5"]])
+def test_format_only_on_report_commands(capsys, k5_file, command):
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(file=k5_file) for a in command] + ["--format", "text"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --format" in capsys.readouterr().err
+
+
+def test_pipeline_internal_failure_exits_3(capsys, tmp_path, monkeypatch):
+    from tightcycle import pipeline
+    from tightcycle.errors import InvariantViolation
+
+    def broken(H):
+        raise InvariantViolation("support left the component", witness=(1, 2, 3))
+
+    monkeypatch.setattr(pipeline, "tight_perfect_fractional_matching", broken)
+    path = tmp_path / "k12.3g"
+    path.write_text(write_hypergraph(complete_3graph(12)))
+    code, out, err = run_cli(capsys, "pipeline", str(path), "--t", "3", "--seed", "1")
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: stage reduced-matching: support left the component\n"

@@ -1,6 +1,11 @@
 import io
 import itertools
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -40,6 +45,38 @@ def test_degree_matches_brute_count_on_random_hosts():
         brute = [sum(1 for e in H.edges if v in e) for v in H.vertices()]
         assert [H.degree([v]) for v in H.vertices()] == brute
         assert H.min_degree(1) == min(brute)
+
+
+def test_min_degrees_match_brute_count_with_uncovered_vertices_and_pairs():
+    rng = random.Random(3)
+    hosts = [Hypergraph3(n, []) for n in (2, 3, 7)] + [complete_3graph(6)]
+    for _ in range(40):
+        n = rng.randint(3, 10)
+        triples = list(itertools.combinations(range(1, n + 1), 3))
+        hosts.append(Hypergraph3(n, rng.sample(triples, rng.randint(0, len(triples)))))
+    seen = set()
+    for H in hosts:
+        by_vertex = [sum(1 for e in H.edges if v in e) for v in H.vertices()]
+        by_pair = [sum(1 for e in H.edges if set(p) <= set(e))
+                   for p in itertools.combinations(H.vertices(), 2)]
+        assert H.min_degree(1) == min(by_vertex)
+        assert H.min_degree(2) == min(by_pair)
+        seen.add((min(by_vertex) == 0, min(by_pair) == 0))
+    assert seen == {(True, True), (False, True), (False, False)}
+
+
+def test_info_on_huge_edgeless_host_is_quick(tmp_path):
+    path = tmp_path / "huge.3g"
+    path.write_text("3 100000000\n")
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "tightcycle.cli", "info", str(path)],
+        capture_output=True, text=True, timeout=20, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads(proc.stdout)
+    assert payload["min_degree_1"] == 0 and payload["min_degree_2"] == 0
 
 
 def test_degree_rejects_bad_sets():

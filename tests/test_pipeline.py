@@ -1,5 +1,9 @@
 from fractions import Fraction
 
+import pytest
+
+from tightcycle import pipeline
+from tightcycle.errors import InvariantViolation
 from tightcycle.generators import extremal, random_3graph
 from tightcycle.hypergraph import complete_3graph
 from tightcycle.pipeline import run_pipeline
@@ -54,3 +58,14 @@ def test_pipeline_records_failure_and_skips():
     assert report.failed_stage() == "slice"
     tail = [s.status for s in report.stages[2:]]
     assert set(tail) == {"skipped"}
+
+
+def test_invariant_violation_propagates_with_stage_name(monkeypatch):
+    def broken(H):
+        raise InvariantViolation("support left the component", witness=(1, 2, 3))
+
+    monkeypatch.setattr(pipeline, "tight_perfect_fractional_matching", broken)
+    with pytest.raises(InvariantViolation) as exc:
+        run_pipeline(complete_3graph(12), 3, Fraction(1, 20), 0.25, 10, seed=1)
+    assert str(exc.value) == "stage reduced-matching: support left the component"
+    assert exc.value.witness == (1, 2, 3)
