@@ -277,11 +277,11 @@ def _reduced_degree_trial(i: int, seed: int) -> TrialOutcome:
     return failures, None
 
 
-def run_reduced_degree_campaign(trials: int, seed: int) -> CampaignResult:
+def run_reduced_degree_campaign(trials: int, seed: int, jobs: int = 1) -> CampaignResult:
     """Adversarial and random density/label configurations: the thresholded
     degree inequality must hold for every cluster, exactly."""
     stats = {"t_values": list(REDUCED_DEGREE_T_VALUES)}
-    return _run_trials("reduced-degree", trials, 1, partial(_reduced_degree_trial, seed=seed), stats)
+    return _run_trials("reduced-degree", trials, jobs, partial(_reduced_degree_trial, seed=seed), stats)
 
 
 # ---------------------------------------------------------------------------

@@ -283,7 +283,7 @@ CAMPAIGNS = {
     "graphmeet": lambda a, seed: campaigns.run_graphmeet_campaign(a.n or 9, a.trials, seed, jobs=a.jobs),
     "fracmatch": lambda a, seed: campaigns.run_fracmatch_campaign(a.n or 9, a.trials, seed, jobs=a.jobs),
     "farkas": lambda a, seed: campaigns.run_farkas_campaign(a.trials, seed, jobs=a.jobs),
-    "reduced-degree": lambda a, seed: campaigns.run_reduced_degree_campaign(a.trials, seed),
+    "reduced-degree": lambda a, seed: campaigns.run_reduced_degree_campaign(a.trials, seed, jobs=a.jobs),
     "erdos-gallai": _verify_erdos_gallai,
     "extremal-bound": lambda a, seed: campaigns.run_extremal_bound_campaign(a.max_n),
     "cycle-oracle": lambda a, seed: campaigns.run_cycle_oracle_campaign(a.trials, seed, min(a.max_n, 9), a.jobs),

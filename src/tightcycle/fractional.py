@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from typing import Iterable, Sequence, Union
 
 from .errors import (
@@ -28,7 +28,12 @@ from .errors import (
 from .hypergraph import Edge3, Graph, Hypergraph3
 from .lp import solve_matching_lp, solve_matching_lp_float
 from .matching import largest_component, max_matching
-from .tight import TightComponentLabeling, component_star, tight_components
+from .tight import (  # noqa: F401  perfbench/spans.py traces component_star here
+    TightComponentLabeling,
+    _star_edges,
+    component_star,
+    tight_components,
+)
 
 EXACT_LP_MAX_N = 30
 
@@ -113,12 +118,17 @@ class FarkasCertificate:
     a: tuple[Fraction, ...]
 
     def validate(self, edges: Iterable[Edge3]) -> None:
-        if sum(self.a) <= 0:
-            raise InvariantViolation(f"certificate has a.1 = {sum(self.a)} <= 0")
+        # both checks run on the integer vector scale * a, a positive rescaling
+        scale = lcm(*(x.denominator for x in self.a))
+        a = [x.numerator * (scale // x.denominator) for x in self.a]
+        if sum(a) <= 0:
+            raise InvariantViolation(f"certificate has a.1 = {Fraction(sum(a), scale)} <= 0")
         for e in edges:
-            s = self.a[e[0] - 1] + self.a[e[1] - 1] + self.a[e[2] - 1]
+            s = a[e[0] - 1] + a[e[1] - 1] + a[e[2] - 1]
             if s > 0:
-                raise InvariantViolation(f"certificate violated on edge {e}: {s} > 0", witness=e)
+                raise InvariantViolation(
+                    f"certificate violated on edge {e}: {Fraction(s, scale)} > 0", witness=e
+                )
 
     def to_json_dict(self) -> dict:
         return {"a": [str(x) for x in self.a]}
@@ -235,10 +245,8 @@ def tight_perfect_fractional_matching(H: Hypergraph3) -> FracmatchResult:
     labeling = tight_components(H)
     star_label: int | None = None
     for u in range(1, n + 1):
-        link = H.link_graph(u)
-        cu = largest_component(link)
-        star = component_star(H, u, cu)
-        for e in star:
+        _, cu_edges = largest_component(H.link_graph(u))
+        for e in _star_edges(u, cu_edges):
             lbl = labeling.labels[e]
             if star_label is None:
                 star_label = lbl

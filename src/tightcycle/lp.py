@@ -1,4 +1,4 @@
-"""Exact rational simplex for the fractional-matching polytope of a 3-graph.
+"""Exact simplex for the fractional-matching polytope of a 3-graph.
 
 The program is
 
@@ -6,12 +6,23 @@ The program is
     subject to  sum_{e : v in e} w_e <= 1     (one row per vertex)
                 w_e >= 0,
 
-solved by the revised primal simplex over Fractions.  Columns have exactly
-three unit entries, so pricing a column costs three additions given the
-dual vector, and the basis-inverse column of an entering edge is the sum
-of three columns of B^-1.  Bland's smallest-index rule (edges in canonical
-order, then slacks) guarantees termination and makes the pivot sequence,
-hence the returned optimum, deterministic.
+solved by the revised primal simplex in integer-preserving form (Edmonds
+1967; Bareiss 1968).  The basis inverse is kept as an integer matrix A
+over a positive integer det, B^-1 = A/det, and the basic values and the
+simplex multipliers as det*x_B and det*y.  A pivot on entering column
+D = A a and leaving row l keeps row l, turns every other row r into
+(D_l A_r - D_r A_l) / det, and sets det = D_l.  det is det(B) itself and
+A is the adjugate of the 0/1 basis B, so every such division is exact;
+det stays positive because it starts at 1 and the ratio test pivots only
+on D_l > 0.  Every sign test and ratio comparison is therefore the one
+the rational simplex would make, and the optimum is built as exact
+Fractions at the end.
+
+Columns have exactly three unit entries, so pricing a column costs three
+additions given the multipliers, and the basis-inverse column of an
+entering edge is the sum of three columns of A.  Bland's smallest-index
+rule (edges in canonical order, then slacks) guarantees termination and
+makes the pivot sequence, hence the returned optimum, deterministic.
 
 The all-slack basis is feasible (b = 1 >= 0), so no phase one is needed,
 and the optimum is bounded above by n/3.
@@ -24,9 +35,6 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import InvariantViolation
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -45,57 +53,61 @@ def solve_matching_lp(n: int, columns: Sequence[tuple[int, ...]]) -> LPResult:
     n slack variables.
     """
     m = len(columns)
-    binv = [[_ONE if i == r else _ZERO for i in range(n)] for r in range(n)]
-    xb = [_ONE] * n
+    rows_of = [(a - 1, b - 1, c - 1) for a, b, c in columns]
+    A = [[int(i == r) for i in range(n)] for r in range(n)]  # det * B^-1
+    X = [1] * n  # det * x_B
+    ys = [0] * n  # det * y, where y = c_B B^-1 (edge cost 1, slack cost 0)
+    det = 1
     basis = list(range(m, m + n))  # slack of row r
     iterations = 0
 
     while True:
-        # simplex multipliers y = c_B B^-1 (edge cost 1, slack cost 0)
-        y = [_ZERO] * n
-        for r in range(n):
-            if basis[r] < m:
-                row = binv[r]
-                for i in range(n):
-                    if row[i]:
-                        y[i] += row[i]
-
+        # Bland: the first edge with reduced cost 1 - y.a > 0, else the
+        # first slack with reduced cost -y_i > 0; rc is det * reduced cost
         enter = -1
-        for j in range(m):
-            rc = _ONE
-            for v in columns[j]:
-                rc -= y[v - 1]
+        for j, (a, b, c) in enumerate(rows_of):
+            rc = det - ys[a] - ys[b] - ys[c]
             if rc > 0:
                 enter = j
                 break
         if enter < 0:
             for i in range(n):
-                if y[i] < 0:  # slack reduced cost is -y_i
+                if ys[i] < 0:
                     enter = m + i
+                    rc = -ys[i]
                     break
         if enter < 0:
             weights: dict[tuple[int, ...], Fraction] = {}
-            value = _ZERO
+            total = 0
             for r in range(n):
-                if basis[r] < m and xb[r]:
-                    weights[tuple(columns[basis[r]])] = xb[r]
-                    value += xb[r]
-            return LPResult(value=value, weights=weights, dual=tuple(y), iterations=iterations)
+                if basis[r] < m and X[r]:
+                    weights[tuple(columns[basis[r]])] = Fraction(X[r], det)
+                    total += X[r]
+            return LPResult(
+                value=Fraction(total, det),
+                weights=weights,
+                dual=tuple(Fraction(s, det) for s in ys),
+                iterations=iterations,
+            )
 
         if enter < m:
-            rows = [v - 1 for v in columns[enter]]
-            d = [sum(binv[r][i] for i in rows) for r in range(n)]
+            a, b, c = rows_of[enter]
+            D = [row[a] + row[b] + row[c] for row in A]
         else:
             i = enter - m
-            d = [binv[r][i] for r in range(n)]
+            D = [row[i] for row in A]
 
+        # ratio test X_r / D_r over D_r > 0, cross-multiplied; ties go to
+        # the smallest basic variable
         leave = -1
-        best: Fraction | None = None
         for r in range(n):
-            if d[r] > 0:
-                ratio = xb[r] / d[r]
-                if best is None or ratio < best or (ratio == best and basis[r] < basis[leave]):
-                    best = ratio
+            if D[r] > 0:
+                if leave < 0:
+                    leave = r
+                    continue
+                lhs = X[r] * D[leave]
+                rhs = X[leave] * D[r]
+                if lhs < rhs or (lhs == rhs and basis[r] < basis[leave]):
                     leave = r
         if leave < 0:
             raise InvariantViolation(
@@ -103,20 +115,22 @@ def solve_matching_lp(n: int, columns: Sequence[tuple[int, ...]]) -> LPResult:
                 witness=(n, enter),
             )
 
-        piv = d[leave]
-        brow = binv[leave]
-        if piv != 1:
-            binv[leave] = brow = [x / piv for x in brow]
-        theta = xb[leave] / piv
-        xb[leave] = theta
+        piv = D[leave]
+        prow = A[leave]
+        px = X[leave]
+        # y moves by (reduced cost / d_l) times row l of B^-1
+        ys = [(piv * s + rc * p) // det for s, p in zip(ys, prow)]
         for r in range(n):
-            if r != leave and d[r]:
-                coef = d[r]
-                row = binv[r]
-                for i in range(n):
-                    if brow[i]:
-                        row[i] -= coef * brow[i]
-                xb[r] -= coef * theta
+            if r == leave:
+                continue
+            dr = D[r]
+            if dr:
+                A[r] = [(piv * x - dr * p) // det for x, p in zip(A[r], prow)]
+                X[r] = (piv * X[r] - dr * px) // det
+            elif piv != det:
+                A[r] = [piv * x // det for x in A[r]]
+                X[r] = piv * X[r] // det
+        det = piv
         basis[leave] = enter
         iterations += 1
 

@@ -107,7 +107,12 @@ def component_star(
             break
     else:
         raise InvalidArgumentError(f"not a connected component of the link graph of {u}")
-    return frozenset(tuple(sorted((u,) + p)) for p in ce)
+    return _star_edges(u, ce)
+
+
+def _star_edges(u: int, pairs: Iterable[tuple[int, int]]) -> frozenset[Edge3]:
+    """The triples formed by adding u to each link-graph edge in `pairs`."""
+    return frozenset(tuple(sorted((u,) + p)) for p in pairs)
 
 
 def tight_walk(H: Hypergraph3, start: Edge3, goal: Edge3) -> list[Edge3] | None:

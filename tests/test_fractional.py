@@ -1,11 +1,12 @@
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 from math import comb
 
 import pytest
 
-from tightcycle.errors import PreconditionError, SizeLimitError
+from tightcycle.errors import InvariantViolation, PreconditionError, SizeLimitError
 from tightcycle.fractional import (
     FarkasCertificate,
     FractionalMatching,
@@ -84,6 +85,59 @@ def test_certificate_scaling_invariance():
     out = perfect_or_certificate(H, 0)
     for scale in (Fraction(1, 3), Fraction(7, 2), 5):
         FarkasCertificate(tuple(scale * x for x in out.a)).validate(H.edges)
+
+
+def _fraction_verdict(a, edges):
+    """The Fraction form of FarkasCertificate.validate, as (message, witness)
+    of the first broken check, or None."""
+    if sum(a) <= 0:
+        return f"certificate has a.1 = {sum(a)} <= 0", None
+    for e in edges:
+        s = a[e[0] - 1] + a[e[1] - 1] + a[e[2] - 1]
+        if s > 0:
+            return f"certificate violated on edge {e}: {s} > 0", e
+    return None
+
+
+def _integer_verdict(a, edges):
+    try:
+        FarkasCertificate(a).validate(edges)
+    except InvariantViolation as exc:
+        return str(exc), exc.witness
+    return None
+
+
+def test_certificate_validate_matches_fraction_form():
+    rng = random.Random(4)
+    certs = []
+    for n, a in ((9, 2), (12, 3), (15, 4)):
+        H = extremal(n, a).hypergraph
+        certs.append((perfect_or_certificate(H, 0).a, list(H.edges)))
+    for i in range(40):
+        H = random_3graph(9, rng.uniform(0.1, 0.5), 2000 + i)
+        if not H.edges:
+            continue
+        lab = tight_components(H)
+        cid = max(range(lab.component_count), key=lambda c: lab.component_sizes[c])
+        out = perfect_or_certificate(H, cid, lab)
+        if isinstance(out, FarkasCertificate):
+            certs.append((out.a, [e for e in H.edges if lab.labels[e] == cid]))
+    verdicts = Counter()
+    for a, edges in certs:
+        variants = [a, tuple(Fraction(rng.randint(1, 9), rng.randint(1, 9)) * x for x in a)]
+        for _ in range(4):
+            v = rng.randrange(len(a))
+            bump = Fraction(rng.randint(-3, 3), rng.randint(1, 5))
+            variants.append(a[:v] + (a[v] + bump,) + a[v + 1:])
+        variants.append(tuple(-x for x in a))
+        variants.append((Fraction(0),) * len(a))
+        variants.append(tuple(int(x) for x in a))
+        for b in variants:
+            got = _integer_verdict(b, edges)
+            assert got == _fraction_verdict(b, edges)
+            verdicts[got is None or got[0].split(" ")[1]] += 1
+    # valid certificates, a.1 <= 0, and edge violations all occur
+    assert verdicts[True] and verdicts["has"] and verdicts["violated"]
 
 
 def test_disjunction_on_mixed_instances():
