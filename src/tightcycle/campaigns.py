@@ -11,6 +11,8 @@ outcome.
 from __future__ import annotations
 
 import itertools
+import json
+import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -19,7 +21,7 @@ from functools import partial
 from math import comb
 
 from .cycles import brute_force_longest_cycle, longest_tight_cycle
-from .errors import GenerationError, InvariantViolation, TclError
+from .errors import GenerationError, InvalidArgumentError, InvariantViolation, TclError
 from .fractional import (
     FarkasCertificate,
     FractionalMatching,
@@ -28,7 +30,7 @@ from .fractional import (
     perfect_or_certificate,
 )
 from .generators import derive_seed, extremal, min_degree_bound, random_3graph, random_min_degree_3graph
-from .hypergraph import Graph, complete_3graph
+from .hypergraph import Graph, complete_3graph, write_graph, write_hypergraph
 from .matching import (
     erdos_gallai_threshold,
     graphmeet_verify,
@@ -43,10 +45,12 @@ MAX_RECORDED_FAILURES = 25
 FARKAS_SIZES = (6, 9, 12)
 REDUCED_DEGREE_T_VALUES = tuple(range(4, 11))
 CYCLE_ORACLE_MIN_N = 4
+EXHAUSTIVE_MAX_N = 7  # 2^C(N,2) graphs on N vertices: 2^21 at 7, 2^28 at 8
 
-# What one trial returns: its failure records (empty when it passed) and the
-# name of a stats counter to increment, or None.
-TrialOutcome = tuple[list[dict], str | None]
+# What one trial returns: its failure records (empty when it passed), the
+# name of a stats counter to increment or None, and the SHA-256 of the
+# canonical text of the instance it drew.
+TrialOutcome = tuple[list[dict], str | None, str]
 
 
 @dataclass
@@ -76,24 +80,42 @@ class CampaignResult:
         }
 
 
+def _digest(*texts: str) -> str:
+    # imported here, not at the top: hashlib loads OpenSSL, about 3.5 MiB of
+    # resident memory, and every tcl command imports this module
+    import hashlib
+
+    return hashlib.sha256("".join(texts).encode()).hexdigest()
+
+
 def _map_trials(worker, trials: int, jobs: int) -> list:
-    if jobs <= 1:
+    workers = min(jobs, trials, os.cpu_count() or 1)
+    if workers <= 1:
         return [worker(i) for i in range(trials)]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        chunk = max(1, trials // (jobs * 8))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        chunk = max(1, trials // (workers * 8))
         return list(pool.map(worker, range(trials), chunksize=chunk))
 
 
 def _run_trials(name: str, trials: int, jobs: int, trial, stats: dict) -> CampaignResult:
-    """Run trial(i) -> TrialOutcome for every i < trials on `jobs` processes
-    and collect the outcomes into one result; each trial derives its
-    randomness from i, so the result does not depend on `jobs`."""
+    """Run trial(i) -> TrialOutcome for every i < trials on at most `jobs`
+    processes and collect the outcomes into one result; each trial derives
+    its randomness from i, so the result does not depend on `jobs`.  The
+    SHA-256 over the trials' instance digests, in trial order, goes into
+    stats as instances_sha256."""
+    if trials < 0:
+        raise InvalidArgumentError(f"need trials >= 0, got {trials}")
+    if jobs < 1:
+        raise InvalidArgumentError(f"need jobs >= 1, got {jobs}")
     result = CampaignResult(name=name, trials=trials, stats=stats)
-    for failures, tally in _map_trials(trial, trials, jobs):
+    digests = []
+    for failures, tally, digest in _map_trials(trial, trials, jobs):
         for failure in failures:
             result.record(failure)
         if tally:
             result.stats[tally] += 1
+        digests.append(digest)
+    result.stats["instances_sha256"] = _digest(*digests)
     return result
 
 
@@ -114,13 +136,14 @@ def _graphmeet_trial(i: int, n: int, seed: int) -> TrialOutcome:
     rng = random.Random(derive_seed(seed, i))
     G1 = _random_dense_graph(n, rng)
     G2 = _random_dense_graph(n, rng)
+    digest = _digest(write_graph(G1), write_graph(G2))
     report = graphmeet_verify(G1, G2)
     if not report.all_verdicts():
-        return [{"trial": i, "n": n, "problem": "verdict false", "report": report.to_json_dict()}], None
+        return [{"trial": i, "n": n, "problem": "verdict false", "report": report.to_json_dict()}], None, digest
     problems = reverify_graphmeet(G1, G2, report)
     if problems:
-        return [{"trial": i, "n": n, "problem": "; ".join(problems)}], None
-    return [], None
+        return [{"trial": i, "n": n, "problem": "; ".join(problems)}], None, digest
+    return [], None, digest
 
 
 def run_graphmeet_campaign(n: int, trials: int, seed: int, jobs: int = 1) -> CampaignResult:
@@ -141,11 +164,12 @@ def _fracmatch_trial(i: int, n: int, seed: int, p: float) -> TrialOutcome:
     try:
         H = random_min_degree_3graph(n, target, derive_seed(seed, i), max_attempts=400, p=p)
     except GenerationError as exc:
-        return [{"trial": i, "n": n, "problem": f"generation failed: {exc}"}], None
+        return [{"trial": i, "n": n, "problem": f"generation failed: {exc}"}], None, _digest()
+    digest = _digest(write_hypergraph(H))
     try:
         res = tight_perfect_fractional_matching(H)
     except TclError as exc:
-        return [{"trial": i, "n": n, "problem": f"{type(exc).__name__}: {exc}"}], None
+        return [{"trial": i, "n": n, "problem": f"{type(exc).__name__}: {exc}"}], None, digest
     problem = None
     if 3 * res.matching.total_weight != n:
         problem = f"total weight {res.matching.total_weight} != n/3"
@@ -156,7 +180,7 @@ def _fracmatch_trial(i: int, n: int, seed: int, p: float) -> TrialOutcome:
             res.matching.validate(H)  # includes support-in-one-component check
         except InvariantViolation as exc:
             problem = str(exc)
-    return ([{"trial": i, "n": n, "problem": problem}] if problem else []), None
+    return ([{"trial": i, "n": n, "problem": problem}] if problem else []), None, digest
 
 
 def fracmatch_edge_probability(n: int) -> float:
@@ -193,9 +217,10 @@ def _farkas_trial(i: int, seed: int) -> TrialOutcome:
     else:
         p = rng.uniform(0.15, 0.95)
         H = random_3graph(n, p, derive_seed(seed, i, 78))
-        if not H.edges:
-            return [], "skipped"  # nothing to decide
         expect = None
+    digest = _digest(write_hypergraph(H))
+    if not H.edges:
+        return [], "skipped", digest  # nothing to decide
     lab = tight_components(H)
     cid = _largest_tight_component(lab)
     outcome = perfect_or_certificate(H, cid, lab)
@@ -206,17 +231,17 @@ def _farkas_trial(i: int, seed: int) -> TrialOutcome:
             if 3 * outcome.total_weight != n:
                 raise InvariantViolation(f"claimed perfect but weight {outcome.total_weight}")
         except InvariantViolation as exc:
-            return [{"trial": i, "n": n, "problem": str(exc)}], kind
+            return [{"trial": i, "n": n, "problem": str(exc)}], kind, digest
     else:
         kind = "certificate"
         restricted = [e for e in H.edges if lab.labels[e] == cid]
         try:
             outcome.validate(restricted)
         except InvariantViolation as exc:
-            return [{"trial": i, "n": n, "problem": str(exc)}], kind
+            return [{"trial": i, "n": n, "problem": str(exc)}], kind, digest
     if expect and kind != expect:
-        return [{"trial": i, "n": n, "problem": f"expected {expect}, got {kind}"}], kind
-    return [], kind
+        return [{"trial": i, "n": n, "problem": f"expected {expect}, got {kind}"}], kind, digest
+    return [], kind, digest
 
 
 def run_farkas_campaign(trials: int, seed: int, jobs: int = 1) -> CampaignResult:
@@ -274,7 +299,7 @@ def _reduced_degree_trial(i: int, seed: int) -> TrialOutcome:
         for rep in reduced_degree_check(R)
         if not rep.ok
     ]
-    return failures, None
+    return failures, None, _digest(json.dumps(R.to_json_dict(), sort_keys=True))
 
 
 def run_reduced_degree_campaign(trials: int, seed: int, jobs: int = 1) -> CampaignResult:
@@ -309,9 +334,11 @@ def _matching_number_table(N: int) -> bytearray:
     return nu
 
 
-def run_erdos_gallai_exhaustive(max_n: int = 7) -> CampaignResult:
+def run_erdos_gallai_exhaustive(max_n: int = EXHAUSTIVE_MAX_N) -> CampaignResult:
     """Every graph on at most max_n labeled vertices: edge counts above the
     threshold must force a matching of the corresponding size."""
+    if max_n > EXHAUSTIVE_MAX_N:
+        raise InvalidArgumentError(f"exhaustive check needs max_n <= {EXHAUSTIVE_MAX_N}, got {max_n}")
     result = CampaignResult(name="erdos-gallai-exhaustive", trials=0, stats={})
     graphs = 0
     for N in range(1, max_n + 1):
@@ -339,15 +366,18 @@ def _eg_random_trial(i: int, seed: int, max_n: int) -> TrialOutcome:
     p = rng.uniform(0.1, 0.95)
     edges = [e for e in itertools.combinations(range(1, N + 1), 2) if rng.random() < p]
     G = Graph(N, edges)
+    digest = _digest(write_graph(G))
     nu = max_matching(G).size
     e = len(edges)
     for k in range(1, N // 2 + 2):
         if N >= 2 * k - 1 and e > erdos_gallai_threshold(N, k) and nu < k:
-            return [{"trial": i, "N": N, "e": e, "k": k, "nu": nu}], None
-    return [], None
+            return [{"trial": i, "N": N, "e": e, "k": k, "nu": nu}], None, digest
+    return [], None, digest
 
 
 def run_erdos_gallai_random(trials: int, seed: int, max_n: int = 12, jobs: int = 1) -> CampaignResult:
+    if max_n < 2:
+        raise InvalidArgumentError(f"random graphs need max_n >= 2, got {max_n}")
     trial = partial(_eg_random_trial, seed=seed, max_n=max_n)
     return _run_trials("erdos-gallai-random", trials, jobs, trial, {"max_n": max_n})
 
@@ -396,16 +426,19 @@ def _cycle_oracle_trial(i: int, seed: int, max_n: int) -> TrialOutcome:
     n = rng.randint(CYCLE_ORACLE_MIN_N, max_n)
     p = rng.uniform(0.15, 0.85)
     H = random_3graph(n, p, derive_seed(seed, i, 5))
+    digest = _digest(write_hypergraph(H))
     dp = longest_tight_cycle(H)
     bf = brute_force_longest_cycle(H)
     dp_len = dp.length if dp else 0
     bf_len = bf.length if bf else 0
     if dp_len != bf_len:
-        return [{"trial": i, "n": n, "p": round(p, 3), "dp": dp_len, "oracle": bf_len}], None
-    return [], None
+        return [{"trial": i, "n": n, "p": round(p, 3), "dp": dp_len, "oracle": bf_len}], None, digest
+    return [], None, digest
 
 
 def run_cycle_oracle_campaign(trials: int, seed: int, max_n: int = 9, jobs: int = 1) -> CampaignResult:
+    if max_n < CYCLE_ORACLE_MIN_N:
+        raise InvalidArgumentError(f"cycle oracle needs max_n >= {CYCLE_ORACLE_MIN_N}, got {max_n}")
     trial = partial(_cycle_oracle_trial, seed=seed, max_n=max_n)
     stats = {"min_n": CYCLE_ORACLE_MIN_N, "max_n": max_n}
     return _run_trials("cycle-oracle", trials, jobs, trial, stats)

@@ -274,7 +274,8 @@ def _verify_erdos_gallai(args, seed: int):
         rnd = campaigns.run_erdos_gallai_random(args.trials, seed, max_n=args.max_n, jobs=args.jobs)
         result.trials += rnd.trials
         result.failures.extend(rnd.failures)
-        result.stats.update({"random_trials": rnd.trials})
+        result.stats.update({"random_trials": rnd.trials,
+                             "instances_sha256": rnd.stats["instances_sha256"]})
     return result
 
 

@@ -9,7 +9,8 @@ the feasibility of {A w = 1, w >= 0} over the restricted edge set, and
 when it fails there is a vector a with a.1 > 0 and sum_{v in e} a_v <= 0
 for every admissible edge.  We recover such a vector from the optimal
 dual y of the maximization LP as a = 1 - 3y and re-verify it in exact
-arithmetic before returning it.
+arithmetic before returning it.  Every optimum comes from the exact
+simplex in `lp`, at every n, so no result here carries a tolerance.
 """
 
 from __future__ import annotations
@@ -19,14 +20,9 @@ from fractions import Fraction
 from math import comb, lcm
 from typing import Iterable, Sequence, Union
 
-from .errors import (
-    InvalidArgumentError,
-    InvariantViolation,
-    PreconditionError,
-    SizeLimitError,
-)
+from .errors import InvalidArgumentError, InvariantViolation, PreconditionError
 from .hypergraph import Edge3, Graph, Hypergraph3
-from .lp import solve_matching_lp, solve_matching_lp_float
+from .lp import solve_matching_lp
 from .matching import largest_component, max_matching
 from .tight import (  # noqa: F401  perfbench/spans.py traces component_star here
     TightComponentLabeling,
@@ -34,8 +30,6 @@ from .tight import (  # noqa: F401  perfbench/spans.py traces component_star her
     component_star,
     tight_components,
 )
-
-EXACT_LP_MAX_N = 30
 
 
 @dataclass(frozen=True)
@@ -46,12 +40,9 @@ class FractionalMatching:
     weights: dict[Edge3, Fraction]
     total_weight: Fraction
     support_component: int | None = None
-    approximate: bool = False
 
     @property
     def perfect(self) -> bool:
-        if self.approximate:
-            return abs(self.total_weight - self.n / 3) <= 1e-9
         return 3 * self.total_weight == self.n
 
     def vertex_loads(self) -> dict[int, Fraction]:
@@ -76,13 +67,10 @@ class FractionalMatching:
             if not 0 <= w <= 1:
                 raise InvariantViolation(f"weight {w} outside [0,1]", witness=e)
             total += w
-        if not self.approximate and total != self.total_weight:
+        if total != self.total_weight:
             raise InvariantViolation(f"total weight {self.total_weight} != {total}")
         for v, load in self.vertex_loads().items():
-            if self.approximate:
-                if load > 1 + 1e-9:
-                    raise InvariantViolation(f"vertex {v} overloaded: {load}", witness=v)
-            elif load > 1:
+            if load > 1:
                 raise InvariantViolation(f"vertex {v} overloaded: {load}", witness=v)
         if self.support_component is not None:
             lab = labeling or tight_components(H)
@@ -101,7 +89,6 @@ class FractionalMatching:
                 for e, w in sorted(self.weights.items())
             ],
             "component": self.support_component,
-            "approximate": self.approximate,
             "perfect": self.perfect,
         }
 
@@ -134,19 +121,31 @@ class FarkasCertificate:
         return {"a": [str(x) for x in self.a]}
 
 
-def _restricted_edges(
+def _optimum(
     H: Hypergraph3,
     restrict_to: int | None,
     labeling: TightComponentLabeling | None,
-) -> tuple[list[Edge3], TightComponentLabeling | None]:
-    if restrict_to is None:
-        return list(H.edges), labeling
-    lab = labeling or tight_components(H)
-    if not 0 <= restrict_to < lab.component_count:
-        raise InvalidArgumentError(
-            f"component id {restrict_to} out of range 0..{lab.component_count - 1}"
-        )
-    return [e for e in H.edges if lab.labels[e] == restrict_to], lab
+) -> tuple[FractionalMatching, tuple[Fraction, ...], list[Edge3], TightComponentLabeling | None]:
+    """Solve the LP over H's edges, or over one tight component's, and
+    return the optimum as a matching with the LP's dual, the admissible
+    edges and the labeling used (None when unrestricted)."""
+    edges = list(H.edges)
+    lab = labeling
+    if restrict_to is not None:
+        lab = labeling or tight_components(H)
+        if not 0 <= restrict_to < lab.component_count:
+            raise InvalidArgumentError(
+                f"component id {restrict_to} out of range 0..{lab.component_count - 1}"
+            )
+        edges = [e for e in edges if lab.labels[e] == restrict_to]
+    res = solve_matching_lp(H.n, edges)
+    fm = FractionalMatching(
+        n=H.n,
+        weights=res.weights,
+        total_weight=res.value,
+        support_component=restrict_to,
+    )
+    return fm, res.dual, edges, lab
 
 
 def max_fractional_matching(
@@ -155,26 +154,8 @@ def max_fractional_matching(
     labeling: TightComponentLabeling | None = None,
 ) -> FractionalMatching:
     """Maximum-total-weight fractional matching, optionally restricted to one
-    tight component.  Exact rationals for n <= 30; beyond that the LP is
-    solved in floating point and the result is labeled approximate."""
-    edges, lab = _restricted_edges(H, restrict_to, labeling)
-    if H.n <= EXACT_LP_MAX_N:
-        res = solve_matching_lp(H.n, edges)
-        fm = FractionalMatching(
-            n=H.n,
-            weights=res.weights,
-            total_weight=res.value,
-            support_component=restrict_to,
-        )
-    else:
-        value, weights = solve_matching_lp_float(H.n, edges)
-        fm = FractionalMatching(
-            n=H.n,
-            weights={e: w for e, w in weights.items()},
-            total_weight=value,  # type: ignore[arg-type]
-            support_component=restrict_to,
-            approximate=True,
-        )
+    tight component, as exact rationals at every n."""
+    fm, _, _, lab = _optimum(H, restrict_to, labeling)
     fm.validate(H, lab)
     return fm
 
@@ -190,23 +171,11 @@ def perfect_or_certificate(
     equal to n/3, support inside the component), or a certificate that none
     exists.  Both outcomes are re-verified in exact arithmetic.
     """
-    if H.n > EXACT_LP_MAX_N:
-        raise SizeLimitError(
-            f"exact decision budget is n <= {EXACT_LP_MAX_N}; "
-            "use max_fractional_matching for an approximate optimum"
-        )
-    edges, lab = _restricted_edges(H, restrict_to, labeling)
-    res = solve_matching_lp(H.n, edges)
-    if 3 * res.value == H.n:
-        fm = FractionalMatching(
-            n=H.n,
-            weights=res.weights,
-            total_weight=res.value,
-            support_component=restrict_to,
-        )
+    fm, dual, edges, lab = _optimum(H, restrict_to, labeling)
+    if fm.perfect:
         fm.validate(H, lab)
         return fm
-    cert = FarkasCertificate(tuple(1 - 3 * y for y in res.dual))
+    cert = FarkasCertificate(tuple(1 - 3 * y for y in dual))
     cert.validate(edges)
     return cert
 

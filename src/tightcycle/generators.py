@@ -72,6 +72,8 @@ def extremal(n: int, a: int) -> ExtremalInstance:
 
 def extremal_from_eta(n: int, eta: float) -> ExtremalInstance:
     """Thin wrapper choosing a = floor(((1-eta)n - 1)/3)."""
+    if not math.isfinite(eta):
+        raise InvalidArgumentError(f"eta must be a finite number, got {eta}")
     a = int(math.floor(((1 - eta) * n - 1) / 3))
     return extremal(n, a)
 

@@ -25,7 +25,8 @@ rule (edges in canonical order, then slacks) guarantees termination and
 makes the pivot sequence, hence the returned optimum, deterministic.
 
 The all-slack basis is feasible (b = 1 >= 0), so no phase one is needed,
-and the optimum is bounded above by n/3.
+and the optimum is bounded above by n/3.  This is the package's only LP
+solver and it has no size cap: every optimum, at every n, is exact.
 """
 
 from __future__ import annotations
@@ -134,37 +135,3 @@ def solve_matching_lp(n: int, columns: Sequence[tuple[int, ...]]) -> LPResult:
         basis[leave] = enter
         iterations += 1
 
-
-def solve_matching_lp_float(n: int, columns: Sequence[tuple[int, ...]]):
-    """Floating-point fallback for instances beyond the exact-LP budget.
-
-    Returns (value, weights dict with entries above 1e-12).  Uses HiGHS via
-    scipy; results carry ~1e-9 accuracy and must be labeled approximate.
-    """
-    import numpy as np
-    from scipy.optimize import linprog
-    from scipy.sparse import csr_matrix
-
-    m = len(columns)
-    if m == 0:
-        return 0.0, {}
-    rows = []
-    cols = []
-    for j, e in enumerate(columns):
-        for v in e:
-            rows.append(v - 1)
-            cols.append(j)
-    A = csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, m))
-    res = linprog(
-        c=-np.ones(m),
-        A_ub=A,
-        b_ub=np.ones(n),
-        bounds=(0, 1),
-        method="highs",
-    )
-    if not res.success:
-        raise InvariantViolation(f"float LP failed: {res.message}", witness=(n, m))
-    weights = {
-        tuple(columns[j]): float(res.x[j]) for j in range(m) if res.x[j] > 1e-12
-    }
-    return float(-res.fun), weights

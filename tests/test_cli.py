@@ -184,6 +184,14 @@ BAD_INPUT_CASES = [
     ("threshold-zero-denominator", ["pipeline", "{file}", "--t", "3", "--d", "1/0"], {}, None),
     ("threshold-nan", ["reduce", "{file}", "--t", "3", "--d", "nan"], {}, None),
     ("threshold-inf", ["pipeline", "{file}", "--t", "3", "--d", "inf"], {}, None),
+    ("eta-nan", ["extremal", "--n", "9", "--eta", "nan"], {}, None),
+    ("eta-inf", ["extremal", "--n", "9", "--eta", "inf"], {}, None),
+    ("verify-negative-trials", ["verify", "graphmeet", "--trials", "-5"], {}, None),
+    ("verify-zero-jobs", ["verify", "reduced-degree", "--trials", "3", "--jobs", "0"], {}, None),
+    ("verify-negative-jobs", ["verify", "farkas", "--trials", "3", "--jobs", "-2"], {}, None),
+    ("verify-cycle-oracle-max-n", ["verify", "cycle-oracle", "--trials", "3", "--max-n", "3"], {}, None),
+    ("verify-erdos-gallai-max-n", ["verify", "erdos-gallai", "--trials", "3", "--max-n", "1"], {}, None),
+    ("verify-exhaustive-n", ["verify", "erdos-gallai", "--trials", "3", "--exhaustive-n", "8"], {}, None),
 ]
 
 

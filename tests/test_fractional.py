@@ -6,7 +6,7 @@ from math import comb
 
 import pytest
 
-from tightcycle.errors import InvariantViolation, PreconditionError, SizeLimitError
+from tightcycle.errors import InvariantViolation, PreconditionError
 from tightcycle.fractional import (
     FarkasCertificate,
     FractionalMatching,
@@ -186,12 +186,69 @@ def test_tight_perfect_fractional_matching_preconditions():
 
 
 def test_exact_budget():
+    # the exact LP has no size cap: n 33 decides and optimizes exactly
     H = complete_3graph(33)
-    with pytest.raises(SizeLimitError):
-        perfect_or_certificate(H, 0)
+    out = perfect_or_certificate(H, 0)
+    assert isinstance(out, FractionalMatching) and out.perfect
+    out.validate(H)
     fm = max_fractional_matching(H)
-    assert fm.approximate
-    assert abs(fm.total_weight - 11) <= 1e-6
+    assert fm.total_weight == 11
+    assert all(isinstance(w, Fraction) for w in fm.weights.values())
+
+
+def _highs_optimum(n, edges):
+    """Independent reference: the same LP solved in floating point by HiGHS."""
+    import numpy as np
+    from scipy.optimize import linprog
+
+    if not edges:
+        return 0.0
+    A = np.zeros((n, len(edges)))
+    for j, e in enumerate(edges):
+        for v in e:
+            A[v - 1, j] = 1
+    res = linprog(-np.ones(len(edges)), A_ub=A, b_ub=np.ones(n), bounds=(0, None), method="highs")
+    assert res.success
+    return -res.fun
+
+
+# hosts on 31..45 vertices: id -> (host builder, |A| of an extremal host or None)
+ABOVE_THIRTY = {
+    "complete-33": (lambda: complete_3graph(33), None),
+    "complete-36": (lambda: complete_3graph(36), None),
+    "extremal-31-4": (lambda: extremal(31, 4).hypergraph, 4),
+    "extremal-36-7": (lambda: extremal(36, 7).hypergraph, 7),
+    "extremal-42-3": (lambda: extremal(42, 3).hypergraph, 3),
+    "random-31-p0.3": (lambda: random_3graph(31, 0.3, 1), None),
+    "random-36-p0.5": (lambda: random_3graph(36, 0.5, 3), None),
+    "random-45-p0.3": (lambda: random_3graph(45, 0.3, 5), None),
+    "random-42-p0.05": (lambda: random_3graph(42, 0.05, 6), None),
+    "random-35-p0.02": (lambda: random_3graph(35, 0.02, 35), None),
+}
+
+
+@pytest.mark.parametrize("name", ABOVE_THIRTY)
+def test_above_thirty_corpus_is_exact_and_matches_highs(name):
+    build, a = ABOVE_THIRTY[name]
+    H = build()
+    fm = max_fractional_matching(H)
+    fm.validate(H)
+    assert a is None or fm.total_weight == a
+    assert abs(float(fm.total_weight) - _highs_optimum(H.n, list(H.edges))) <= 1e-6
+
+    lab = tight_components(H)
+    cid = max(range(lab.component_count), key=lambda c: (lab.component_sizes[c], -c))
+    restricted = [e for e in H.edges if lab.labels[e] == cid]
+    out = perfect_or_certificate(H, cid, lab)
+    reference = _highs_optimum(H.n, restricted)
+    if isinstance(out, FractionalMatching):
+        out.validate(H, lab)
+        assert out.perfect and abs(reference - H.n / 3) <= 1e-6
+    else:
+        out.validate(restricted)
+        assert reference < H.n / 3 - 1e-6
+    if a is not None:  # 3a < n: the extremal certificate, a.1 = n - 3a
+        assert isinstance(out, FarkasCertificate) and sum(out.a) == H.n - 3 * a
 
 
 def test_refutation_checker():

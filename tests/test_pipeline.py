@@ -22,6 +22,17 @@ def test_pipeline_complete_k30():
     assert all(v == 5 for v in cycle["coverage"].values())
 
 
+def test_pipeline_reduces_to_more_than_thirty_clusters():
+    # the reduced-matching stage decides exactly on a 33-vertex reduced graph
+    report = run_pipeline(complete_3graph(66), 33, Fraction(1, 20), 0.25, 6, seed=7)
+    assert report.ok
+    by_name = {s.name: s for s in report.stages}
+    assert by_name["good-clusters"].detail["count"] == 33
+    assert by_name["reduced-matching"].detail["total_weight"] == "11"
+    cycle = by_name["cycle"].detail
+    assert cycle["length"] == 66 and cycle["valid"]
+
+
 def test_pipeline_deterministic_canonical_reports():
     H = complete_3graph(30)
     r1 = run_pipeline(H, 6, Fraction(1, 20), 0.25, 40, seed=7)
