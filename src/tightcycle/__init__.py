@@ -60,7 +60,6 @@ from .slices import (
     sub_polyad_density,
 )
 from .cycles import (
-    CycleSearchParams,
     CycleSearchResult,
     TightCycle,
     brute_force_longest_cycle,

@@ -32,7 +32,7 @@ from .fractional import (
 from .generators import derive_seed, extremal, min_degree_bound, random_3graph, random_min_degree_3graph
 from .hypergraph import Graph, complete_3graph, write_graph, write_hypergraph
 from .matching import (
-    erdos_gallai_threshold,
+    erdos_gallai_thresholds,
     graphmeet_verify,
     max_matching,
     reverify_graphmeet,
@@ -334,7 +334,7 @@ def _matching_number_table(N: int) -> bytearray:
     return nu
 
 
-def run_erdos_gallai_exhaustive(max_n: int = EXHAUSTIVE_MAX_N) -> CampaignResult:
+def run_erdos_gallai_exhaustive(max_n: int) -> CampaignResult:
     """Every graph on at most max_n labeled vertices: edge counts above the
     threshold must force a matching of the corresponding size."""
     if max_n > EXHAUSTIVE_MAX_N:
@@ -344,10 +344,7 @@ def run_erdos_gallai_exhaustive(max_n: int = EXHAUSTIVE_MAX_N) -> CampaignResult
     for N in range(1, max_n + 1):
         nu = _matching_number_table(N)
         P = comb(N, 2)
-        thresholds = {}
-        for k in range(1, N // 2 + 2):
-            if N >= 2 * k - 1:
-                thresholds[k] = erdos_gallai_threshold(N, k)
+        thresholds = erdos_gallai_thresholds(N)
         for mask in range(1 << P):
             graphs += 1
             e = mask.bit_count()
@@ -369,13 +366,13 @@ def _eg_random_trial(i: int, seed: int, max_n: int) -> TrialOutcome:
     digest = _digest(write_graph(G))
     nu = max_matching(G).size
     e = len(edges)
-    for k in range(1, N // 2 + 2):
-        if N >= 2 * k - 1 and e > erdos_gallai_threshold(N, k) and nu < k:
+    for k, thr in erdos_gallai_thresholds(N).items():
+        if e > thr and nu < k:
             return [{"trial": i, "N": N, "e": e, "k": k, "nu": nu}], None, digest
     return [], None, digest
 
 
-def run_erdos_gallai_random(trials: int, seed: int, max_n: int = 12, jobs: int = 1) -> CampaignResult:
+def run_erdos_gallai_random(trials: int, seed: int, max_n: int, jobs: int = 1) -> CampaignResult:
     if max_n < 2:
         raise InvalidArgumentError(f"random graphs need max_n >= 2, got {max_n}")
     trial = partial(_eg_random_trial, seed=seed, max_n=max_n)
@@ -387,7 +384,7 @@ def run_erdos_gallai_random(trials: int, seed: int, max_n: int = 12, jobs: int =
 # ---------------------------------------------------------------------------
 
 
-def run_extremal_bound_campaign(max_n: int = 12) -> CampaignResult:
+def run_extremal_bound_campaign(max_n: int) -> CampaignResult:
     """Exact reproduction of the extremal family facts for all n <= max_n:
     the min-degree formula for every a and, for n >= 4, the longest tight
     cycle: none when a = 1, length 3a when 3a <= n, Hamilton length n when
@@ -436,7 +433,7 @@ def _cycle_oracle_trial(i: int, seed: int, max_n: int) -> TrialOutcome:
     return [], None, digest
 
 
-def run_cycle_oracle_campaign(trials: int, seed: int, max_n: int = 9, jobs: int = 1) -> CampaignResult:
+def run_cycle_oracle_campaign(trials: int, seed: int, max_n: int, jobs: int = 1) -> CampaignResult:
     if max_n < CYCLE_ORACLE_MIN_N:
         raise InvalidArgumentError(f"cycle oracle needs max_n >= {CYCLE_ORACLE_MIN_N}, got {max_n}")
     trial = partial(_cycle_oracle_trial, seed=seed, max_n=max_n)
@@ -449,7 +446,7 @@ def run_cycle_oracle_campaign(trials: int, seed: int, max_n: int = 9, jobs: int 
 # ---------------------------------------------------------------------------
 
 
-def run_pipeline_determinism(n: int = 30, t: int = 6, seed: int = 7) -> CampaignResult:
+def run_pipeline_determinism(n: int, t: int, seed: int) -> CampaignResult:
     """Complete 3-graph through the whole pipeline at the CLI's default
     threshold, eps and sample count, twice: the run must end in a valid
     cycle covering all undeleted vertices and the canonical (timing-free)

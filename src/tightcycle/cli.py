@@ -20,7 +20,7 @@ import sys
 from fractions import Fraction
 
 from . import campaigns
-from .cycles import CycleSearchParams, longest_tight_cycle, validate_cycle
+from .cycles import longest_tight_cycle, validate_cycle
 from .errors import InvariantViolation, TclError
 from .fractional import max_fractional_matching, tight_perfect_fractional_matching
 from .generators import (
@@ -37,7 +37,7 @@ from .hypergraph import (
     write_graph,
     write_hypergraph,
 )
-from .matching import erdos_gallai_threshold, graphmeet_verify, max_matching
+from .matching import erdos_gallai_thresholds, graphmeet_verify, max_matching
 from .pipeline import run_pipeline
 from .slices import build_reduced_graph, build_weak_slice
 from .tight import tight_components
@@ -146,15 +146,15 @@ def cmd_match(args) -> int:
 
 def cmd_egcheck(args) -> int:
     G = read_graph(_read_source(args.file))
+    if args.k is not None and args.k < 0:
+        raise TclError(f"--k must be >= 1, or 0 for every k; got {args.k}")
     nu = max_matching(G).size
     e = len(G.edges)
     rows = []
     ok = True
-    ks = [args.k] if args.k else range(1, G.n // 2 + 2)
-    for k in ks:
-        if G.n < 2 * k - 1:
+    for k, thr in erdos_gallai_thresholds(G.n).items():
+        if args.k and k != args.k:
             continue
-        thr = erdos_gallai_threshold(G.n, k)
         above = e > thr
         guaranteed = not above or nu >= k
         ok = ok and guaranteed
@@ -257,10 +257,7 @@ def cmd_reduce(args) -> int:
 def cmd_pipeline(args) -> int:
     H = read_hypergraph(_read_source(args.file))
     seed = _default_seed(args.seed)
-    report = run_pipeline(
-        H, args.t, _parse_threshold(args.d), args.eps, args.samples, seed,
-        cycle_params=CycleSearchParams(seed=seed, restarts=args.restarts),
-    )
+    report = run_pipeline(H, args.t, _parse_threshold(args.d), args.eps, args.samples, seed)
     if args.canonical:
         print(report.canonical_json())
     else:
@@ -293,6 +290,10 @@ CAMPAIGNS = {
 
 
 def cmd_verify(args) -> int:
+    if args.trials < 0:
+        raise TclError(f"--trials must be >= 0, got {args.trials}")
+    if args.jobs < 1:
+        raise TclError(f"--jobs must be >= 1, got {args.jobs}")
     result = CAMPAIGNS[args.campaign](args, _default_seed(args.seed))
     _emit(result.to_json_dict(), args.format)
     return EXIT_OK if result.passed else EXIT_VERDICT_FALSE
@@ -328,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("egcheck", cmd_egcheck, "matching-threshold check on a .2g file")
     p.add_argument("file")
-    p.add_argument("--k", type=int)
+    p.add_argument("--k", type=int, help="check this k only (default or 0: every k with n >= 2k-1)")
 
     p = add("graphmeet", cmd_graphmeet, "dense-pair component verifier on two .2g files")
     p.add_argument("file1")
@@ -382,7 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, default=0.25)
     p.add_argument("--samples", type=int, default=40)
     p.add_argument("--seed", type=int)
-    p.add_argument("--restarts", type=int, default=8)
     p.add_argument("--canonical", action="store_true",
                    help="emit the compact timing-free canonical report")
 

@@ -27,7 +27,6 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import InvalidArgumentError, InvariantViolation, SizeLimitError
 from .fractional import FractionalMatching
@@ -40,11 +39,12 @@ DP_MAX_N = 22
 MIN_CYCLE_LENGTH = 4
 
 # Matching-guided heuristic: step budgets of the cluster-walk planner and of
-# the vertex backtracking per restart, and the scales tried, largest first,
-# on the per-cluster targets.
+# the vertex backtracking per restart, the scales tried, largest first, on
+# the per-cluster targets, and the seeded restarts per scale.
 PLAN_BUDGET = 200_000
 VERTEX_BUDGET = 400_000
 QUOTA_SCALES = (1.0, 0.9, 0.8, 0.7, 0.6, 0.5, 0.4)
+RESTARTS = 8
 
 
 @dataclass(frozen=True)
@@ -241,40 +241,17 @@ def brute_force_longest_cycle(H: Hypergraph3) -> TightCycle | None:
 
 
 @dataclass(frozen=True)
-class CycleSearchParams:
-    """Seed and restarts per quota scale of matching_guided_cycle; its step
-    budgets and scales are the constants PLAN_BUDGET, VERTEX_BUDGET and
-    QUOTA_SCALES."""
-
-    seed: int = 0
-    restarts: int = 8
-
-
-@dataclass(frozen=True)
 class CycleSearchResult:
-    success: bool
     cycle: TightCycle | None
     coverage: dict[int, int]
     targets: dict[int, int]
-    plan: tuple[int, ...] | None
     scale_used: float | None
     longest_path: tuple[int, ...]
     detail: str
 
-    def to_json_dict(self) -> dict:
-        out = {
-            "success": self.success,
-            "coverage": {str(k): v for k, v in sorted(self.coverage.items())},
-            "targets": {str(k): v for k, v in sorted(self.targets.items())},
-            "scale_used": self.scale_used,
-            "detail": self.detail,
-        }
-        if self.cycle is not None:
-            out["cycle"] = self.cycle.to_json_dict()
-        else:
-            out["cycle"] = None
-            out["longest_path"] = list(self.longest_path)
-        return out
+    @property
+    def success(self) -> bool:
+        return self.cycle is not None
 
 
 def _plan_cluster_walk(
@@ -390,7 +367,7 @@ def matching_guided_cycle(
     S: WeakSlice,
     R: ReducedGraph,
     M: FractionalMatching,
-    params: CycleSearchParams | None = None,
+    seed: int,
 ) -> CycleSearchResult:
     """Grow a long tight cycle guided by a fractional matching on the reduced
     graph.
@@ -399,10 +376,12 @@ def matching_guided_cycle(
     clusters numbered 1..t; its support must consist of thresholded triples
     and be tightly connected among them.  The per-cluster target is the
     combined matching weight of triples containing the cluster times the
-    cluster size.  The returned cycle (if any) is validator-checked before
+    cluster size.  Each quota scale gets RESTARTS vertex searches, seeded
+    from `seed`.  The returned cycle (if any) is validator-checked before
     being returned; failures carry the longest tight path found.
     """
-    params = params or CycleSearchParams()
+    if M.n != R.t:
+        raise InvalidArgumentError(f"matching is on {M.n} vertices, not the {R.t} clusters")
     rd = frozenset(R.thresholded_edges())
     rd_view = Hypergraph3(R.t, [tuple(c + 1 for c in X) for X in sorted(rd)])
 
@@ -421,11 +400,8 @@ def matching_guided_cycle(
         )
 
     m = S.m
-    loads: dict[int, Fraction] = {}
-    for e, w in M.weights.items():
-        for cv in e:
-            loads[cv - 1] = loads.get(cv - 1, Fraction(0)) + Fraction(w)
-    targets = {c: min(m, round(load * m)) for c, load in sorted(loads.items())}
+    loads = M.vertex_loads()
+    targets = {c - 1: min(m, round(load * m)) for c, load in loads.items() if load > 0}
 
     lookup = S.cluster_lookup()
 
@@ -441,8 +417,8 @@ def matching_guided_cycle(
         plan = _plan_cluster_walk(rd, quotas, PLAN_BUDGET)
         if plan is None:
             continue
-        for restart in range(params.restarts):
-            rng = random.Random(derive_seed(params.seed, si, restart))
+        for restart in range(RESTARTS):
+            rng = random.Random(derive_seed(seed, si, restart))
             order, prefix = _instantiate_plan(H, S.clusters, plan, rng, VERTEX_BUDGET)
             if len(prefix) > len(longest):
                 longest = prefix
@@ -454,21 +430,17 @@ def matching_guided_cycle(
                         f"heuristic produced an invalid cycle: {check}", witness=order
                     )
                 return CycleSearchResult(
-                    success=True,
                     cycle=cycle,
                     coverage=coverage(order),
                     targets=targets,
-                    plan=plan,
                     scale_used=scale,
                     longest_path=prefix,
                     detail=f"cycle of length {cycle.length} at quota scale {scale}",
                 )
     return CycleSearchResult(
-        success=False,
         cycle=None,
         coverage=coverage(longest),
         targets=targets,
-        plan=None,
         scale_used=None,
         longest_path=longest,
         detail=f"no cycle closed; longest tight path has {len(longest)} vertices",

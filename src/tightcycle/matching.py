@@ -149,6 +149,11 @@ def erdos_gallai_threshold(N: int, k: int) -> int:
     return max(comb(2 * k - 1, 2), comb(k - 1, 2) + (k - 1) * (N - k + 1))
 
 
+def erdos_gallai_thresholds(N: int) -> dict[int, int]:
+    """k -> erdos_gallai_threshold(N, k) for every k >= 1 with N >= 2k-1."""
+    return {k: erdos_gallai_threshold(N, k) for k in range(1, (N + 1) // 2 + 1)}
+
+
 def connected_components(G: Graph) -> list[tuple[frozenset[int], frozenset[Edge2]]]:
     """All connected components as (vertex set, edge set) pairs.
 
@@ -295,11 +300,33 @@ def graphmeet_verify(G1: Graph, G2: Graph, observe: bool = False) -> GraphMeetRe
     )
 
 
+def _union_find_components(G: Graph) -> list[tuple[frozenset[int], frozenset[Edge2]]]:
+    """Components by union-find over the edge list; shares no code with
+    connected_components, so it can re-check what that function found."""
+    root = list(range(G.n + 1))
+
+    def find(v: int) -> int:
+        while root[v] != v:
+            root[v] = root[root[v]]
+            v = root[v]
+        return v
+
+    for a, b in G.edges:
+        root[find(a)] = find(b)
+    groups: dict[int, tuple[set[int], set[Edge2]]] = {}
+    for v in range(1, G.n + 1):
+        groups.setdefault(find(v), (set(), set()))[0].add(v)
+    for e in G.edges:
+        groups[find(e[0])][1].add(e)
+    return [(frozenset(vs), frozenset(es)) for vs, es in groups.values()]
+
+
 def reverify_graphmeet(G1: Graph, G2: Graph, report: GraphMeetReport) -> list[str]:
     """Independently re-check the evidence in a GraphMeetReport.
 
     Returns a list of discrepancy strings (empty when everything holds).
-    Uses plain DFS component recomputation rather than the verifier's path.
+    Components are recomputed by union-find, not by the verifier's
+    connected_components.
     """
     problems: list[str] = []
     for i, G in enumerate((G1, G2)):
@@ -311,7 +338,7 @@ def reverify_graphmeet(G1: Graph, G2: Graph, report: GraphMeetReport) -> list[st
             if e[0] not in cv or e[1] not in cv:
                 problems.append(f"G{i+1}: component edge {e} leaves vertex set")
         # connectivity and maximality via recomputation
-        comps = connected_components(G)
+        comps = _union_find_components(G)
         if (cv, ce) not in comps:
             problems.append(f"G{i+1}: claimed component is not a component")
         if any(len(c[0]) > len(cv) for c in comps):

@@ -6,7 +6,9 @@ Every stage is recorded in a report even when it fails; later stages are
 then marked skipped.  An InvariantViolation is a bug, not a negative result,
 so it is not recorded: it propagates with the stage name in its message.
 Reports serialize to JSON with a canonical form that excludes timings, so
-pinned-seed runs are byte-identical.
+pinned-seed runs are byte-identical.  Each stage draws its seed from the one
+`seed` argument (the cycle stage uses derive_seed(seed, 2)); `tcl pipeline
+--canonical` prints this function's canonical_json() for its options.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .cycles import CycleSearchParams, matching_guided_cycle
+from .cycles import matching_guided_cycle
 from .errors import InvariantViolation, TclError
 from .fractional import FractionalMatching, tight_perfect_fractional_matching
 from .generators import derive_seed
@@ -74,7 +76,6 @@ def run_pipeline(
     eps: float,
     samples: int,
     seed: int,
-    cycle_params: CycleSearchParams | None = None,
 ) -> PipelineReport:
     stages: list[StageRecord] = []
     timings: dict[str, float] = {}
@@ -170,19 +171,11 @@ def run_pipeline(
         }
 
     def stage_cycle():
-        S = state["S"]
-        R = state["R"]
-        M = state["M"]
-        cp = cycle_params or CycleSearchParams(seed=derive_seed(seed, 2))
-        res = matching_guided_cycle(H, S, R, M, cp)
-        if not res.success:
+        res = matching_guided_cycle(H, state["S"], state["R"], state["M"], derive_seed(seed, 2))
+        if res.cycle is None:
             raise TclError(res.detail)
-        assert res.cycle is not None
         return {
-            "length": res.cycle.length,
-            "order": list(res.cycle.order),
-            "valid": True,
-            "coverage": {str(k): v for k, v in sorted(res.coverage.items())},
+            **res.cycle.to_json_dict(res.coverage),
             "targets": {str(k): v for k, v in sorted(res.targets.items())},
             "scale_used": res.scale_used,
         }

@@ -160,9 +160,6 @@ class IrregularityWitness:
     reference_density: Fraction | float
     eps: float
 
-    def gap(self) -> float:
-        return abs(float(self.observed_density) - float(self.reference_density))
-
 
 def irregularity_witness(
     H: Hypergraph3,

@@ -121,6 +121,23 @@ def test_egcheck_command(capsys, tmp_path):
     assert json.loads(out)["matching_number"] == 3
 
 
+@pytest.mark.parametrize("k,expected", [
+    (None, [(1, 0, True, True), (2, 6, True, True), (3, 11, False, True), (4, 21, False, True)]),
+    (0, [(1, 0, True, True), (2, 6, True, True), (3, 11, False, True), (4, 21, False, True)]),
+    (2, [(2, 6, True, True)]),
+    (4, [(4, 21, False, True)]),
+    (5, []),  # n = 7 < 2k - 1: no threshold applies
+])
+def test_egcheck_rows(capsys, tmp_path, k, expected):
+    path = tmp_path / "g7.2g"
+    path.write_text("2 7\n1 2\n1 4\n1 7\n2 3\n2 5\n2 6\n4 5\n")
+    code, out, _ = run_cli(capsys, "egcheck", str(path), *([] if k is None else ["--k", str(k)]))
+    payload = json.loads(out)
+    assert code == 0
+    assert (payload["n"], payload["edges"], payload["matching_number"]) == (7, 7, 3)
+    assert [(r["k"], r["threshold"], r["edges_above"], r["matching_ok"]) for r in payload["checks"]] == expected
+
+
 def test_random_seed_env_fallback(capsys, monkeypatch):
     monkeypatch.setenv("TCL_SEED", "123")
     code, out1, _ = run_cli(capsys, "random", "--n", "8", "--p", "0.5")
@@ -152,6 +169,29 @@ def test_pipeline_command_canonical(capsys, tmp_path):
     assert code == code2 == 0
     assert out1 == out2
     assert json.loads(out1)["ok"]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_pipeline_canonical_is_run_pipeline(capsys, tmp_path, seed):
+    from fractions import Fraction
+
+    from tightcycle.generators import random_3graph
+    from tightcycle.pipeline import run_pipeline
+
+    H = random_3graph(30, 0.8, 11)
+    path = tmp_path / "h.3g"
+    path.write_text(write_hypergraph(H))
+    code, out, _ = run_cli(capsys, "pipeline", str(path), "--t", "6", "--seed", str(seed), "--canonical")
+    report = run_pipeline(H, 6, Fraction(1, 20), 0.25, 40, seed)
+    assert report.ok and code == 0
+    assert out == report.canonical_json() + "\n"
+
+
+def test_pipeline_has_no_restarts_option(capsys, k5_file):
+    with pytest.raises(SystemExit) as exc:
+        main(["pipeline", k5_file, "--restarts", "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --restarts" in capsys.readouterr().err
 
 
 def test_slice_and_reduce_commands(capsys, tmp_path):
@@ -192,6 +232,11 @@ BAD_INPUT_CASES = [
     ("verify-cycle-oracle-max-n", ["verify", "cycle-oracle", "--trials", "3", "--max-n", "3"], {}, None),
     ("verify-erdos-gallai-max-n", ["verify", "erdos-gallai", "--trials", "3", "--max-n", "1"], {}, None),
     ("verify-exhaustive-n", ["verify", "erdos-gallai", "--trials", "3", "--exhaustive-n", "8"], {}, None),
+    ("verify-extremal-bound-trials-jobs",
+     ["verify", "extremal-bound", "--max-n", "5", "--jobs", "-3", "--trials", "-4"], {}, None),
+    ("verify-pipeline-negative-trials", ["verify", "pipeline", "--n", "18", "--trials", "-1"], {}, None),
+    ("verify-pipeline-zero-jobs", ["verify", "pipeline", "--n", "18", "--jobs", "0"], {}, None),
+    ("egcheck-negative-k", ["egcheck", "{file}", "--k", "-3"], {}, b"4 2\n1 2\n3 4\n"),
 ]
 
 

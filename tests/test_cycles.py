@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from tightcycle.cycles import (
-    CycleSearchParams,
     brute_force_longest_cycle,
     longest_tight_cycle,
     matching_guided_cycle,
@@ -124,7 +123,7 @@ def test_matching_guided_on_complete():
     H = complete_3graph(18)
     S, R = _slice_and_reduced(H, 6, seed=4)
     M = _perfect_cluster_matching(R)
-    res = matching_guided_cycle(H, S, R, M, CycleSearchParams(seed=1))
+    res = matching_guided_cycle(H, S, R, M, seed=1)
     assert res.success and res.cycle is not None
     assert res.cycle.length == 18  # full coverage on a complete host
     assert validate_cycle(H, res.cycle.order).valid
@@ -135,9 +134,8 @@ def test_matching_guided_deterministic():
     H = random_3graph(30, 0.85, 3)
     S, R = _slice_and_reduced(H, 6, seed=8)
     M = _perfect_cluster_matching(R)
-    p = CycleSearchParams(seed=5)
-    r1 = matching_guided_cycle(H, S, R, M, p)
-    r2 = matching_guided_cycle(H, S, R, M, p)
+    r1 = matching_guided_cycle(H, S, R, M, seed=5)
+    r2 = matching_guided_cycle(H, S, R, M, seed=5)
     assert r1 == r2
     assert r1.success
 
@@ -158,7 +156,7 @@ def test_matching_guided_rejects_disconnected_support():
     S = build_weak_slice(H, 6, seed=0)
     M = _perfect_cluster_matching(R)
     with pytest.raises(InvalidArgumentError):
-        matching_guided_cycle(H, S, R, M)
+        matching_guided_cycle(H, S, R, M, seed=0)
 
 
 def test_matching_guided_rejects_off_support():
@@ -174,7 +172,11 @@ def test_matching_guided_rejects_off_support():
         d_threshold=Fraction(1, 2),
     )
     with pytest.raises(InvalidArgumentError):
-        matching_guided_cycle(H, S, hollow, bad)
+        matching_guided_cycle(H, S, hollow, bad, seed=0)
+    M = _perfect_cluster_matching(R)
+    off_count = FractionalMatching(n=5, weights=M.weights, total_weight=M.total_weight)
+    with pytest.raises(InvalidArgumentError):
+        matching_guided_cycle(H, S, R, off_count, seed=0)
 
 
 def test_failure_reports_longest_path():
@@ -183,6 +185,6 @@ def test_failure_reports_longest_path():
     S, R = _slice_and_reduced(H, 6, seed=4)
     M = _perfect_cluster_matching(R)
     sparse_host = Hypergraph3(18, [])
-    res = matching_guided_cycle(sparse_host, S, R, M, CycleSearchParams(seed=0, restarts=2))
+    res = matching_guided_cycle(sparse_host, S, R, M, seed=0)
     assert not res.success and res.cycle is None
     assert len(res.longest_path) <= 2

@@ -169,3 +169,31 @@ def test_graphmeet_deterministic_report():
     G1 = Graph(9, rng.sample(pairs, 25))
     G2 = Graph(9, rng.sample(pairs, 30))
     assert graphmeet_verify(G1, G2) == graphmeet_verify(G1, G2)
+
+
+def test_reverify_graphmeet_does_not_trust_connected_components(monkeypatch):
+    # a connected_components that reports a one-edge fragment as the only
+    # component fools graphmeet_verify; the re-verifier must not agree
+    from tightcycle import matching
+
+    K9 = complete_graph(9)
+    monkeypatch.setattr(matching, "connected_components",
+                        lambda G: [(frozenset({1, 2}), frozenset({(1, 2)}))])
+    report = graphmeet_verify(K9, K9)
+    assert [len(cv) for cv in report.component_vertices] == [2, 2]
+    problems = reverify_graphmeet(K9, K9, report)
+    assert "G1: claimed component is not a component" in problems
+    assert "G1: claimed component is not largest" in problems
+
+
+def test_union_find_components_match_connected_components():
+    from tightcycle.matching import _union_find_components, connected_components
+
+    rng = random.Random(9)
+    for _ in range(60):
+        n = rng.randint(1, 12)
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        G = Graph(n, rng.sample(pairs, rng.randint(0, len(pairs) // 2)))
+        comps = connected_components(G)
+        assert set(_union_find_components(G)) == set(comps)
+        assert len(comps) == len(_union_find_components(G))
