@@ -131,7 +131,7 @@ def cmd_components(args) -> int:
     payload = {
         "component_count": lab.component_count,
         "component_sizes": list(lab.component_sizes),
-        "labels": [{"e": list(e), "c": c} for e, c in sorted(lab.labels.items())],
+        "labels": [{"e": list(e), "c": c} for e, c in lab.labels.items()],
     }
     _emit(payload, args.format)
     return EXIT_OK
@@ -276,25 +276,47 @@ def _verify_erdos_gallai(args, seed: int):
     return result
 
 
-# `tcl verify` campaign name -> call(args, seed) returning a CampaignResult.
+# `tcl verify` campaign name -> (the campaign options it reads, call(args,
+# seed) returning a CampaignResult).  --seed and --jobs are accepted by every
+# campaign: a deterministic campaign has no use for the seed, a serial one
+# runs the same at any --jobs, and a script may pass both to all eight.
 CAMPAIGNS = {
-    "graphmeet": lambda a, seed: campaigns.run_graphmeet_campaign(a.n or 9, a.trials, seed, jobs=a.jobs),
-    "fracmatch": lambda a, seed: campaigns.run_fracmatch_campaign(a.n or 9, a.trials, seed, jobs=a.jobs),
-    "farkas": lambda a, seed: campaigns.run_farkas_campaign(a.trials, seed, jobs=a.jobs),
-    "reduced-degree": lambda a, seed: campaigns.run_reduced_degree_campaign(a.trials, seed, jobs=a.jobs),
-    "erdos-gallai": _verify_erdos_gallai,
-    "extremal-bound": lambda a, seed: campaigns.run_extremal_bound_campaign(a.max_n),
-    "cycle-oracle": lambda a, seed: campaigns.run_cycle_oracle_campaign(a.trials, seed, min(a.max_n, 9), a.jobs),
-    "pipeline": lambda a, seed: campaigns.run_pipeline_determinism(n=a.n or 30, t=a.t, seed=seed),
+    "graphmeet": ({"n", "trials"}, lambda a, seed: campaigns.run_graphmeet_campaign(
+        a.n or 9, a.trials, seed, jobs=a.jobs)),
+    "fracmatch": ({"n", "trials"}, lambda a, seed: campaigns.run_fracmatch_campaign(
+        a.n or 9, a.trials, seed, jobs=a.jobs)),
+    "farkas": ({"trials"}, lambda a, seed: campaigns.run_farkas_campaign(
+        a.trials, seed, jobs=a.jobs)),
+    "reduced-degree": ({"trials"}, lambda a, seed: campaigns.run_reduced_degree_campaign(
+        a.trials, seed, jobs=a.jobs)),
+    "erdos-gallai": ({"trials", "max_n", "exhaustive_n"}, _verify_erdos_gallai),
+    "extremal-bound": ({"max_n"}, lambda a, seed: campaigns.run_extremal_bound_campaign(a.max_n)),
+    "cycle-oracle": ({"trials", "max_n"}, lambda a, seed: campaigns.run_cycle_oracle_campaign(
+        a.trials, seed, min(a.max_n, 9), a.jobs)),
+    "pipeline": ({"n", "t"}, lambda a, seed: campaigns.run_pipeline_determinism(
+        n=a.n or 30, t=a.t, seed=seed)),
 }
+
+# Defaults of the campaign options (--n has a per-campaign default, applied in
+# CAMPAIGNS).  The parser leaves them None, so that cmd_verify can tell an
+# option the user passed from one left out.
+VERIFY_DEFAULTS = {"trials": 100, "n": None, "t": 6, "max_n": 12, "exhaustive_n": 6}
 
 
 def cmd_verify(args) -> int:
+    reads, run = CAMPAIGNS[args.campaign]
+    unread = [f"--{dest.replace('_', '-')}" for dest in VERIFY_DEFAULTS
+              if dest not in reads and getattr(args, dest) is not None]
+    if unread:
+        raise TclError(f"verify {args.campaign} does not read {', '.join(unread)}")
+    for dest, default in VERIFY_DEFAULTS.items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, default)
     if args.trials < 0:
         raise TclError(f"--trials must be >= 0, got {args.trials}")
     if args.jobs < 1:
         raise TclError(f"--jobs must be >= 1, got {args.jobs}")
-    result = CAMPAIGNS[args.campaign](args, _default_seed(args.seed))
+    result = run(args, _default_seed(args.seed))
     _emit(result.to_json_dict(), args.format)
     return EXIT_OK if result.passed else EXIT_VERDICT_FALSE
 
@@ -388,13 +410,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("verify", cmd_verify, "run a verification campaign")
     p.add_argument("campaign", choices=CAMPAIGNS)
-    p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--t", type=int, default=6)
-    p.add_argument("--max-n", type=int, default=12, dest="max_n")
-    p.add_argument("--exhaustive-n", type=int, default=6, dest="exhaustive_n")
     p.add_argument("--jobs", type=int, default=1)
+    # Each campaign reads some of these; passing one it does not read exits 2.
+    p.add_argument("--trials", type=int, help="default 100")
+    p.add_argument("--n", type=int, help="default 9 (graphmeet, fracmatch) or 30 (pipeline)")
+    p.add_argument("--t", type=int, help="default 6")
+    p.add_argument("--max-n", type=int, dest="max_n", help="default 12")
+    p.add_argument("--exhaustive-n", type=int, dest="exhaustive_n", help="default 6")
 
     return top
 

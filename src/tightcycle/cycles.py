@@ -11,8 +11,13 @@ vertices), with the smallest cycle vertex pinned as the start to kill
 rotational symmetry.  Closing the cycle needs the second vertex of the
 sequence, which the DP does not carry in its key; instead each state holds
 the bitmask of second vertices realizable for it, which closure intersects
-with the completions of the seam pair.  Memory is the price: the budget is
-n <= 22, and dense instances get slow well before that.
+with the completions of the seam pair.  A state (mask, a, b) is one int,
+mask << 10 | a << 5 | b (bit v-1 of mask for vertex v), and the completions
+of a pair are a list lookup comp[a][b], so a transition builds no tuple;
+int keys also take about 30 % less memory than tuple keys.  The passes, their
+order and the cycle returned are those of the earlier tuple-keyed DP.  Memory
+is the price: the budget is n <= 22, and dense instances get slow well
+before that.
 
 The heuristic mirrors the reduced-graph pipeline: it first plans a closed
 cluster walk that visits each cluster according to the fractional matching
@@ -35,6 +40,8 @@ from .hypergraph import Hypergraph3
 from .slices import ReducedGraph, Triple, WeakSlice
 from .tight import tight_components
 
+# A DP state (mask, a, b) is packed as mask << 10 | a << 5 | b, so its two
+# vertex fields are 5 bits wide; that holds because DP_MAX_N = 22 < 32.
 DP_MAX_N = 22
 MIN_CYCLE_LENGTH = 4
 
@@ -100,23 +107,22 @@ def validate_cycle(H: Hypergraph3, seq) -> CycleValidation:
     return CycleValidation(True)
 
 
-def _pair_completions(H: Hypergraph3) -> dict[tuple[int, int], int]:
-    """pair (a<b) -> bitmask of c with {a,b,c} an edge (bit v-1 for vertex v)."""
-    comp: dict[tuple[int, int], int] = {}
-    for pair, edges in H.pair_index.items():
-        mask = 0
-        for e in edges:
-            third = e[0] + e[1] + e[2] - pair[0] - pair[1]
-            mask |= 1 << (third - 1)
-        comp[pair] = mask
-    return comp
-
-
 def _bits(x: int):
     while x:
         b = x & -x
         yield b.bit_length() - 1
         x ^= b
+
+
+def _completions(H: Hypergraph3) -> list[list[int]]:
+    """comp[a][b] == comp[b][a]: bitmask of the c with {a, b, c} an edge
+    (bit v-1 for vertex v), over rows and columns 0..n."""
+    comp = [[0] * (H.n + 1) for _ in range(H.n + 1)]
+    for a, b, c in H.edges:
+        comp[a][b] = comp[b][a] = comp[a][b] | 1 << (c - 1)
+        comp[a][c] = comp[c][a] = comp[a][c] | 1 << (b - 1)
+        comp[b][c] = comp[c][b] = comp[b][c] | 1 << (a - 1)
+    return comp
 
 
 def longest_tight_cycle(H: Hypergraph3) -> TightCycle | None:
@@ -128,44 +134,52 @@ def longest_tight_cycle(H: Hypergraph3) -> TightCycle | None:
             f"exact cycle DP budget is n <= {DP_MAX_N}; got n = {n}. "
             "Use matching_guided_cycle for larger instances."
         )
-    comp = _pair_completions(H)
-    if not comp:
+    if not H.edges:
         return None
+    comp = _completions(H)
 
     best_len = 0
-    best_state: tuple[int, int, int, int, int] | None = None  # s, mask, a, b, q
-    best_levels: list[dict] | None = None
+    best_state: tuple[int, int, int] | None = None  # s, key, q
+    best_levels: list[dict[int, int]] | None = None
 
     for s in range(1, n + 1):
         if n - s + 1 <= best_len or n - s + 1 < MIN_CYCLE_LENGTH:
             break
         sbit = 1 << (s - 1)
         allowed = ((1 << n) - 1) & ~(sbit - 1)  # vertices >= s
-        level: dict[tuple[int, int, int], int] = {}
+        comp_s = comp[s]
+        level: dict[int, int] = {}
         for q in range(s + 1, n + 1):
-            if comp.get((s, q), 0) & allowed:
-                level[(sbit | (1 << (q - 1)), s, q)] = 1 << (q - 1)
-        levels = [dict(), dict(), level]  # index by path length
+            if comp_s[q] & allowed:
+                level[(sbit | 1 << (q - 1)) << 10 | s << 5 | q] = 1 << (q - 1)
+        levels: list[dict[int, int]] = [{}, {}, level]  # index by path length
         ell = 2
         found_here = False
         while level:
-            nxt: dict[tuple[int, int, int], int] = {}
-            for (mask, a, b), qm in level.items():
-                pa, pb = (a, b) if a < b else (b, a)
-                if ell >= MIN_CYCLE_LENGTH and ell > best_len:
-                    cmask = comp.get((pa, pb), 0)
-                    if cmask & sbit:
-                        seam = (s, b) if s < b else (b, s)
-                        qs = qm & comp.get(seam, 0)
-                        if qs:
-                            best_len = ell
-                            best_state = (s, mask, a, b, qs & -qs)
-                            best_levels = levels
-                            found_here = True
-                ext = comp.get((pa, pb), 0) & ~mask & allowed
-                for c in _bits(ext):
-                    key = (mask | (1 << c), b, c + 1)
-                    nxt[key] = nxt.get(key, 0) | qm
+            nxt: dict[int, int] = {}
+            get = nxt.get
+            closing = ell >= MIN_CYCLE_LENGTH and ell > best_len
+            for key, qm in level.items():
+                b = key & 31
+                cab = comp[key >> 5 & 31][b]
+                if closing and cab & sbit:
+                    qs = qm & comp_s[b]
+                    if qs:
+                        best_len = ell
+                        best_state = (s, key, qs & -qs)
+                        best_levels = levels
+                        found_here = True
+                        closing = False
+                # A completion c, low = bit c-1, leads to (mask | low, b, c):
+                # base packs mask and the new a = b; low.bit_length() == c.
+                ext = cab & allowed & ~(key >> 10)
+                if ext:
+                    base = key & ~1023 | b << 5
+                    while ext:
+                        low = ext & -ext
+                        k = base | low << 10 | low.bit_length()
+                        nxt[k] = get(k, 0) | qm
+                        ext ^= low
             levels.append(nxt)
             level = nxt
             ell += 1
@@ -175,16 +189,16 @@ def longest_tight_cycle(H: Hypergraph3) -> TightCycle | None:
     if best_state is None:
         return None
     assert best_levels is not None
-    s, mask, a, b, qbit = best_state
+    s, key, qbit = best_state
+    mask, a, b = key >> 10, key >> 5 & 31, key & 31
     rev = [b, a]
     lvl = best_len
     while lvl > 2:
-        pa, pb = (a, b) if a < b else (b, a)
         prev_mask = mask & ~(1 << (b - 1))
-        cands = comp.get((pa, pb), 0) & prev_mask & ~(1 << (a - 1))
+        prev = best_levels[lvl - 1]
+        cands = comp[a][b] & prev_mask & ~(1 << (a - 1))
         for x in _bits(cands):
-            key = (prev_mask, x + 1, a)
-            qm = best_levels[lvl - 1].get(key)
+            qm = prev.get(prev_mask << 10 | (x + 1) << 5 | a)
             if qm is not None and qm & qbit:
                 rev.append(x + 1)
                 mask, a, b = prev_mask, x + 1, a

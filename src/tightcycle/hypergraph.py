@@ -31,6 +31,7 @@ def _canonical_edges(n: int, edges: Iterable[Iterable[int]], k: int) -> tuple[tu
     if n < 0:
         raise InvalidArgumentError(f"vertex count must be >= 0, got {n}")
     seen: set[tuple[int, ...]] = set()
+    out: list[tuple[int, ...]] = []
     for raw in edges:
         e = tuple(sorted(raw))
         if len(e) != k or e[0] == e[1] or e[-2] == e[-1]:
@@ -40,7 +41,9 @@ def _canonical_edges(n: int, edges: Iterable[Iterable[int]], k: int) -> tuple[tu
         if e in seen:
             raise InvalidArgumentError(f"duplicate edge {e}")
         seen.add(e)
-    return tuple(sorted(seen)), frozenset(seen)
+        out.append(e)
+    out.sort()  # input order, so an already sorted edge list sorts in one pass
+    return tuple(out), frozenset(seen)
 
 
 class Hypergraph3:

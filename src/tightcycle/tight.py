@@ -2,8 +2,9 @@
 
 Two edges of a 3-graph are tightly adjacent when they share exactly two
 vertices; tight components are the classes of the transitive closure of
-that relation.  The labeling is computed by union-find over edges grouped
-by their contained pairs, which avoids the quadratic edge-adjacency blowup.
+that relation.  The labeling is a union-find over vertex pairs: each edge
+joins its three pairs, so edges sharing a pair fall into one class without
+the quadratic edge-adjacency blowup.
 """
 
 from __future__ import annotations
@@ -14,30 +15,6 @@ from typing import Iterable
 
 from .errors import InvalidArgumentError
 from .hypergraph import Edge3, Hypergraph3
-
-
-class UnionFind:
-    def __init__(self, size: int):
-        self.parent = list(range(size))
-        self.size = [1] * size
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> int:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return ra
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-        return ra
 
 
 @dataclass(frozen=True)
@@ -53,24 +30,41 @@ def tight_components(H: Hypergraph3) -> TightComponentLabeling:
     """Label every edge with its tight component.
 
     Ids are assigned by the first edge of each class in canonical edge order,
-    so the labeling is deterministic.
+    so the labeling is deterministic; `labels` lists the edges in that order.
     """
-    m = len(H.edges)
-    index = {e: i for i, e in enumerate(H.edges)}
-    uf = UnionFind(m)
-    for group in H.pair_index.values():
-        first = index[group[0]]
-        for other in group[1:]:
-            uf.union(first, index[other])
+    n1 = H.n + 1
+    edges = H.edges
+    # Pair (a, b), a < b, has id a*n1 + b; an edge joins its three pairs.
+    # The flat parent list is indexed by id; when it would hold many more
+    # slots than an edge list has pairs (few edges, many vertices), a dict
+    # holding only the pairs present takes its place.
+    parent: list[int] | dict[int, int]
+    if n1 * n1 <= 12 * len(edges) + 1024:
+        parent = list(range(n1 * n1))
+    else:
+        parent = {}
+        for a, b, c in edges:
+            for x in (a * n1 + b, a * n1 + c, b * n1 + c):
+                parent[x] = x
+    for a, b, c in edges:
+        x = a * n1 + b
+        for y in (a * n1 + c, b * n1 + c):
+            while parent[x] != x:  # path halving
+                parent[x] = x = parent[parent[x]]
+            while parent[y] != y:
+                parent[y] = y = parent[parent[y]]
+            parent[y] = x
     root_to_id: dict[int, int] = {}
     labels: dict[Edge3, int] = {}
     sizes: list[int] = []
-    for i, e in enumerate(H.edges):
-        r = uf.find(i)
-        if r not in root_to_id:
-            root_to_id[r] = len(sizes)
+    for e in edges:
+        x = e[0] * n1 + e[1]
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        cid = root_to_id.get(x)
+        if cid is None:
+            cid = root_to_id[x] = len(sizes)
             sizes.append(0)
-        cid = root_to_id[r]
         labels[e] = cid
         sizes[cid] += 1
     return TightComponentLabeling(labels, len(sizes), tuple(sizes))

@@ -159,6 +159,26 @@ def test_verify_reduced_degree(capsys):
     assert code == 0 and json.loads(out)["passed"]
 
 
+@pytest.mark.parametrize("argv,named", [
+    (["extremal-bound", "--max-n", "5", "--trials", "7", "--seed", "3", "--jobs", "2",
+      "--n", "9", "--t", "4"], "--trials, --n, --t"),
+    (["pipeline", "--n", "18", "--trials", "50"], "--trials"),
+    (["pipeline", "--n", "18", "--trials", "100"], "--trials"),  # the default, passed
+    (["farkas", "--trials", "3", "--max-n", "12"], "--max-n"),
+])
+def test_verify_rejects_options_the_campaign_does_not_read(capsys, argv, named):
+    code, out, err = run_cli(capsys, "verify", *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: verify {argv[0]} does not read {named}\n"
+
+
+def test_verify_accepts_seed_and_jobs_for_every_campaign(capsys):
+    code, out, _ = run_cli(capsys, "verify", "extremal-bound", "--max-n", "5")
+    code2, out2, _ = run_cli(capsys, "verify", "extremal-bound", "--max-n", "5",
+                             "--seed", "3", "--jobs", "2")
+    assert code == code2 == 0 and out == out2
+
+
 def test_pipeline_command_canonical(capsys, tmp_path):
     path = tmp_path / "k12.3g"
     path.write_text(write_hypergraph(complete_3graph(12)))
