@@ -276,44 +276,47 @@ def _verify_erdos_gallai(args, seed: int):
     return result
 
 
-# `tcl verify` campaign name -> (the campaign options it reads, call(args,
-# seed) returning a CampaignResult).  --seed and --jobs are accepted by every
-# campaign: a deterministic campaign has no use for the seed, a serial one
-# runs the same at any --jobs, and a script may pass both to all eight.
+# `tcl verify` campaign name -> (the campaign options it reads with their
+# defaults, call(args, seed) returning a CampaignResult).  --seed and --jobs
+# are accepted by every campaign: a deterministic campaign has no use for the
+# seed, a serial one runs the same at any --jobs, and a script may pass both
+# to all eight.
 CAMPAIGNS = {
-    "graphmeet": ({"n", "trials"}, lambda a, seed: campaigns.run_graphmeet_campaign(
-        a.n or 9, a.trials, seed, jobs=a.jobs)),
-    "fracmatch": ({"n", "trials"}, lambda a, seed: campaigns.run_fracmatch_campaign(
-        a.n or 9, a.trials, seed, jobs=a.jobs)),
-    "farkas": ({"trials"}, lambda a, seed: campaigns.run_farkas_campaign(
+    "graphmeet": ({"trials": 100, "n": 9}, lambda a, seed: campaigns.run_graphmeet_campaign(
+        a.n, a.trials, seed, jobs=a.jobs)),
+    "fracmatch": ({"trials": 100, "n": 9}, lambda a, seed: campaigns.run_fracmatch_campaign(
+        a.n, a.trials, seed, jobs=a.jobs)),
+    "farkas": ({"trials": 100}, lambda a, seed: campaigns.run_farkas_campaign(
         a.trials, seed, jobs=a.jobs)),
-    "reduced-degree": ({"trials"}, lambda a, seed: campaigns.run_reduced_degree_campaign(
+    "reduced-degree": ({"trials": 100}, lambda a, seed: campaigns.run_reduced_degree_campaign(
         a.trials, seed, jobs=a.jobs)),
-    "erdos-gallai": ({"trials", "max_n", "exhaustive_n"}, _verify_erdos_gallai),
-    "extremal-bound": ({"max_n"}, lambda a, seed: campaigns.run_extremal_bound_campaign(a.max_n)),
-    "cycle-oracle": ({"trials", "max_n"}, lambda a, seed: campaigns.run_cycle_oracle_campaign(
+    "erdos-gallai": ({"trials": 100, "max_n": 12, "exhaustive_n": 6}, _verify_erdos_gallai),
+    "extremal-bound": ({"max_n": 12}, lambda a, seed: campaigns.run_extremal_bound_campaign(a.max_n)),
+    "cycle-oracle": ({"trials": 100, "max_n": 12}, lambda a, seed: campaigns.run_cycle_oracle_campaign(
         a.trials, seed, min(a.max_n, 9), a.jobs)),
-    "pipeline": ({"n", "t"}, lambda a, seed: campaigns.run_pipeline_determinism(
-        n=a.n or 30, t=a.t, seed=seed)),
+    "pipeline": ({"n": 30, "t": 6}, lambda a, seed: campaigns.run_pipeline_determinism(
+        n=a.n, t=a.t, seed=seed)),
 }
 
-# Defaults of the campaign options (--n has a per-campaign default, applied in
-# CAMPAIGNS).  The parser leaves them None, so that cmd_verify can tell an
-# option the user passed from one left out.
-VERIFY_DEFAULTS = {"trials": 100, "n": None, "t": 6, "max_n": 12, "exhaustive_n": 6}
+# Every campaign option, in the order errors name them.  The parser leaves
+# each None, so that cmd_verify can tell an option the user passed from one
+# left out.
+VERIFY_OPTIONS = tuple(dict.fromkeys(o for reads, _ in CAMPAIGNS.values() for o in reads))
 
 
 def cmd_verify(args) -> int:
     reads, run = CAMPAIGNS[args.campaign]
-    unread = [f"--{dest.replace('_', '-')}" for dest in VERIFY_DEFAULTS
+    unread = [f"--{dest.replace('_', '-')}" for dest in VERIFY_OPTIONS
               if dest not in reads and getattr(args, dest) is not None]
     if unread:
         raise TclError(f"verify {args.campaign} does not read {', '.join(unread)}")
-    for dest, default in VERIFY_DEFAULTS.items():
+    for dest, default in reads.items():
         if getattr(args, dest) is None:
             setattr(args, dest, default)
-    if args.trials < 0:
+    if args.trials is not None and args.trials < 0:
         raise TclError(f"--trials must be >= 0, got {args.trials}")
+    if args.n is not None and args.n < 1:
+        raise TclError(f"--n must be >= 1, got {args.n}")
     if args.jobs < 1:
         raise TclError(f"--jobs must be >= 1, got {args.jobs}")
     result = run(args, _default_seed(args.seed))
@@ -413,11 +416,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--jobs", type=int, default=1)
     # Each campaign reads some of these; passing one it does not read exits 2.
-    p.add_argument("--trials", type=int, help="default 100")
-    p.add_argument("--n", type=int, help="default 9 (graphmeet, fracmatch) or 30 (pipeline)")
-    p.add_argument("--t", type=int, help="default 6")
-    p.add_argument("--max-n", type=int, dest="max_n", help="default 12")
-    p.add_argument("--exhaustive-n", type=int, dest="exhaustive_n", help="default 6")
+    for dest in VERIFY_OPTIONS:
+        read_by = ", ".join(f"{name} {reads[dest]}" for name, (reads, _) in CAMPAIGNS.items()
+                            if dest in reads)
+        p.add_argument(f"--{dest.replace('_', '-')}", type=int, dest=dest,
+                       help=f"read by (campaign default): {read_by}")
 
     return top
 

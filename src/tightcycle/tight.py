@@ -35,17 +35,9 @@ def tight_components(H: Hypergraph3) -> TightComponentLabeling:
     n1 = H.n + 1
     edges = H.edges
     # Pair (a, b), a < b, has id a*n1 + b; an edge joins its three pairs.
-    # The flat parent list is indexed by id; when it would hold many more
-    # slots than an edge list has pairs (few edges, many vertices), a dict
-    # holding only the pairs present takes its place.
-    parent: list[int] | dict[int, int]
-    if n1 * n1 <= 12 * len(edges) + 1024:
-        parent = list(range(n1 * n1))
-    else:
-        parent = {}
-        for a, b, c in edges:
-            for x in (a * n1 + b, a * n1 + c, b * n1 + c):
-                parent[x] = x
+    # The parent map holds only the pairs present, so its size follows e,
+    # not n^2.
+    parent = {x: x for a, b, c in edges for x in (a * n1 + b, a * n1 + c, b * n1 + c)}
     for a, b, c in edges:
         x = a * n1 + b
         for y in (a * n1 + c, b * n1 + c):

@@ -172,6 +172,19 @@ def test_verify_rejects_options_the_campaign_does_not_read(capsys, argv, named):
     assert err == f"error: verify {argv[0]} does not read {named}\n"
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["extremal-bound", "--max-n", "5", "--jobs", "-3"], "--jobs must be >= 1, got -3"),
+    (["pipeline", "--n", "18", "--jobs", "0"], "--jobs must be >= 1, got 0"),
+    (["cycle-oracle", "--trials", "-1"], "--trials must be >= 0, got -1"),
+    (["graphmeet", "--n", "0", "--trials", "2"], "--n must be >= 1, got 0"),
+    (["pipeline", "--n", "0"], "--n must be >= 1, got 0"),
+])
+def test_verify_range_errors_name_the_option(capsys, argv, message):
+    code, out, err = run_cli(capsys, "verify", *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_verify_accepts_seed_and_jobs_for_every_campaign(capsys):
     code, out, _ = run_cli(capsys, "verify", "extremal-bound", "--max-n", "5")
     code2, out2, _ = run_cli(capsys, "verify", "extremal-bound", "--max-n", "5",
@@ -252,10 +265,11 @@ BAD_INPUT_CASES = [
     ("verify-cycle-oracle-max-n", ["verify", "cycle-oracle", "--trials", "3", "--max-n", "3"], {}, None),
     ("verify-erdos-gallai-max-n", ["verify", "erdos-gallai", "--trials", "3", "--max-n", "1"], {}, None),
     ("verify-exhaustive-n", ["verify", "erdos-gallai", "--trials", "3", "--exhaustive-n", "8"], {}, None),
-    ("verify-extremal-bound-trials-jobs",
-     ["verify", "extremal-bound", "--max-n", "5", "--jobs", "-3", "--trials", "-4"], {}, None),
+    ("verify-extremal-bound-trials-jobs", ["verify", "extremal-bound", "--max-n", "5", "--jobs", "-3"], {}, None),
     ("verify-pipeline-negative-trials", ["verify", "pipeline", "--n", "18", "--trials", "-1"], {}, None),
     ("verify-pipeline-zero-jobs", ["verify", "pipeline", "--n", "18", "--jobs", "0"], {}, None),
+    ("verify-graphmeet-zero-n", ["verify", "graphmeet", "--n", "0", "--trials", "2"], {}, None),
+    ("verify-pipeline-zero-n", ["verify", "pipeline", "--n", "0"], {}, None),
     ("egcheck-negative-k", ["egcheck", "{file}", "--k", "-3"], {}, b"4 2\n1 2\n3 4\n"),
 ]
 

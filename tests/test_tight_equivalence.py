@@ -88,8 +88,8 @@ def test_random_hosts():
 
 
 def test_sparse_hosts_on_many_vertices():
-    # Few edges over many vertices: the parent map is a dict of the pairs
-    # present, not a list over every possible pair id.
+    # Few edges over many vertices: the parent map holds only the pairs
+    # present, so n up to 10^6 costs nothing beyond the edges.
     rng = random.Random(20260912)
     for n in (200, 5_000, 10**6):
         for m in (1, 10, 60):
