@@ -46,6 +46,7 @@ from .fractional import (
     refute_certificate,
 )
 from .slices import (
+    ClusterIndex,
     IrregularityWitness,
     ReducedGraph,
     WeakSlice,

@@ -37,7 +37,7 @@ from .matching import (
     max_matching,
     reverify_graphmeet,
 )
-from .pipeline import run_pipeline
+from .pipeline import DEFAULT_D, DEFAULT_EPS, DEFAULT_SAMPLES, run_pipeline
 from .slices import ReducedGraph, reduced_degree_check
 from .tight import tight_components
 
@@ -45,6 +45,7 @@ MAX_RECORDED_FAILURES = 25
 FARKAS_SIZES = (6, 9, 12)
 REDUCED_DEGREE_T_VALUES = tuple(range(4, 11))
 CYCLE_ORACLE_MIN_N = 4
+CYCLE_ORACLE_MAX_N = 9  # the brute-force oracle enumerates tight paths; intended for n <= 9
 EXHAUSTIVE_MAX_N = 7  # 2^C(N,2) graphs on N vertices: 2^21 at 7, 2^28 at 8
 
 # What one trial returns: its failure records (empty when it passed), the
@@ -434,8 +435,9 @@ def _cycle_oracle_trial(i: int, seed: int, max_n: int) -> TrialOutcome:
 
 
 def run_cycle_oracle_campaign(trials: int, seed: int, max_n: int, jobs: int = 1) -> CampaignResult:
-    if max_n < CYCLE_ORACLE_MIN_N:
-        raise InvalidArgumentError(f"cycle oracle needs max_n >= {CYCLE_ORACLE_MIN_N}, got {max_n}")
+    if not CYCLE_ORACLE_MIN_N <= max_n <= CYCLE_ORACLE_MAX_N:
+        raise InvalidArgumentError(
+            f"cycle oracle needs {CYCLE_ORACLE_MIN_N} <= max_n <= {CYCLE_ORACLE_MAX_N}, got {max_n}")
     trial = partial(_cycle_oracle_trial, seed=seed, max_n=max_n)
     stats = {"min_n": CYCLE_ORACLE_MIN_N, "max_n": max_n}
     return _run_trials("cycle-oracle", trials, jobs, trial, stats)
@@ -447,14 +449,14 @@ def run_cycle_oracle_campaign(trials: int, seed: int, max_n: int, jobs: int = 1)
 
 
 def run_pipeline_determinism(n: int, t: int, seed: int) -> CampaignResult:
-    """Complete 3-graph through the whole pipeline at the CLI's default
-    threshold, eps and sample count, twice: the run must end in a valid
-    cycle covering all undeleted vertices and the canonical (timing-free)
-    reports must be byte-identical."""
+    """Complete 3-graph through the whole pipeline at the default threshold,
+    eps and sample count (pipeline.DEFAULT_*), twice: the run must end in a
+    valid cycle covering all undeleted vertices and the canonical
+    (timing-free) reports must be byte-identical."""
     result = CampaignResult(name="pipeline-determinism", trials=2, stats={"n": n, "t": t})
     H = complete_3graph(n)
-    r1 = run_pipeline(H, t, Fraction(1, 20), 0.25, 40, seed)
-    r2 = run_pipeline(H, t, Fraction(1, 20), 0.25, 40, seed)
+    r1 = run_pipeline(H, t, DEFAULT_D, DEFAULT_EPS, DEFAULT_SAMPLES, seed)
+    r2 = run_pipeline(H, t, DEFAULT_D, DEFAULT_EPS, DEFAULT_SAMPLES, seed)
     if not r1.ok:
         result.record({"problem": f"pipeline failed at stage {r1.failed_stage()}"})
     else:

@@ -38,7 +38,7 @@ from .hypergraph import (
     write_hypergraph,
 )
 from .matching import erdos_gallai_thresholds, graphmeet_verify, max_matching
-from .pipeline import run_pipeline
+from .pipeline import DEFAULT_D, DEFAULT_EPS, DEFAULT_SAMPLES, DEFAULT_T, run_pipeline
 from .slices import build_reduced_graph, build_weak_slice
 from .tight import tight_components
 
@@ -292,9 +292,10 @@ CAMPAIGNS = {
         a.trials, seed, jobs=a.jobs)),
     "erdos-gallai": ({"trials": 100, "max_n": 12, "exhaustive_n": 6}, _verify_erdos_gallai),
     "extremal-bound": ({"max_n": 12}, lambda a, seed: campaigns.run_extremal_bound_campaign(a.max_n)),
-    "cycle-oracle": ({"trials": 100, "max_n": 12}, lambda a, seed: campaigns.run_cycle_oracle_campaign(
-        a.trials, seed, min(a.max_n, 9), a.jobs)),
-    "pipeline": ({"n": 30, "t": 6}, lambda a, seed: campaigns.run_pipeline_determinism(
+    "cycle-oracle": ({"trials": 100, "max_n": campaigns.CYCLE_ORACLE_MAX_N},
+                     lambda a, seed: campaigns.run_cycle_oracle_campaign(
+                         a.trials, seed, a.max_n, a.jobs)),
+    "pipeline": ({"n": 30, "t": DEFAULT_T}, lambda a, seed: campaigns.run_pipeline_determinism(
         n=a.n, t=a.t, seed=seed)),
 }
 
@@ -390,23 +391,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("slice", cmd_slice, "seeded weak slice of a .3g file")
     p.add_argument("file")
-    p.add_argument("--t", type=int, default=6)
+    p.add_argument("--t", type=int, default=DEFAULT_T)
     p.add_argument("--seed", type=int)
 
     p = add("reduce", cmd_reduce, "reduced graph with densities and labels")
     p.add_argument("file")
-    p.add_argument("--t", type=int, default=6)
-    p.add_argument("--d", default="1/20", help="density threshold (rational or decimal, read exactly)")
-    p.add_argument("--eps", type=float, default=0.25)
-    p.add_argument("--samples", type=int, default=40)
+    p.add_argument("--t", type=int, default=DEFAULT_T)
+    p.add_argument("--d", default=str(DEFAULT_D), help="density threshold (rational or decimal, read exactly)")
+    p.add_argument("--eps", type=float, default=DEFAULT_EPS)
+    p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
     p.add_argument("--seed", type=int)
 
     p = add("pipeline", cmd_pipeline, "full reduction pipeline with staged report")
     p.add_argument("file")
-    p.add_argument("--t", type=int, default=6)
-    p.add_argument("--d", default="1/20")
-    p.add_argument("--eps", type=float, default=0.25)
-    p.add_argument("--samples", type=int, default=40)
+    p.add_argument("--t", type=int, default=DEFAULT_T)
+    p.add_argument("--d", default=str(DEFAULT_D))
+    p.add_argument("--eps", type=float, default=DEFAULT_EPS)
+    p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
     p.add_argument("--seed", type=int)
     p.add_argument("--canonical", action="store_true",
                    help="emit the compact timing-free canonical report")

@@ -2,13 +2,18 @@
 clusters, match fractionally on the restricted reduced graph, then grow a
 cycle guided by the matching.
 
-Every stage is recorded in a report even when it fails; later stages are
-then marked skipped.  An InvariantViolation is a bug, not a negative result,
-so it is not recorded: it propagates with the stage name in its message.
+One generator runs the stages as straight-line code and yields each
+stage's detail in STAGES order; a stage fails by raising.  run_pipeline
+times and records every stage, failed ones too, and marks the later ones
+skipped.  An InvariantViolation is a bug, not a negative result, so it is
+not recorded: it propagates with the stage name in its message.  t < 3,
+eps outside (0, 1) and samples < 1 are wrong for every host and raise
+InvalidArgumentError before any stage; t > n is a recorded `slice` failure.
 Reports serialize to JSON with a canonical form that excludes timings, so
-pinned-seed runs are byte-identical.  Each stage draws its seed from the one
-`seed` argument (the cycle stage uses derive_seed(seed, 2)); `tcl pipeline
---canonical` prints this function's canonical_json() for its options.
+pinned-seed runs are byte-identical.  Each stage draws its seed from the
+one `seed` argument (the cycle stage uses derive_seed(seed, 2)); `tcl
+pipeline --canonical` prints this function's canonical_json() for its
+options.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from __future__ import annotations
 import json
 import math
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -24,7 +30,15 @@ from .errors import InvariantViolation, TclError
 from .fractional import FractionalMatching, tight_perfect_fractional_matching
 from .generators import derive_seed
 from .hypergraph import Hypergraph3, density
-from .slices import ReducedGraph, build_reduced_graph, build_weak_slice, good_clusters
+from .slices import _check_search, _check_t, build_reduced_graph, build_weak_slice, good_clusters
+
+STAGES = ("input", "slice", "reduce", "good-clusters", "reduced-matching", "cycle")
+
+# The defaults of `tcl slice`, `reduce`, `pipeline` and `verify pipeline`.
+DEFAULT_T = 6
+DEFAULT_D = Fraction(1, 20)
+DEFAULT_EPS = 0.25
+DEFAULT_SAMPLES = 40
 
 
 @dataclass
@@ -77,8 +91,8 @@ def run_pipeline(
     samples: int,
     seed: int,
 ) -> PipelineReport:
-    stages: list[StageRecord] = []
-    timings: dict[str, float] = {}
+    _check_t(t)
+    _check_search(eps, samples)
     params = {
         "t": t,
         "d_threshold": str(d_threshold),
@@ -86,113 +100,88 @@ def run_pipeline(
         "samples": samples,
         "seed": seed,
     }
-    report = PipelineReport(parameters=params, stages=stages, timings=timings)
-
-    def run_stage(name, fn):
+    report = PipelineReport(parameters=params, stages=[], timings={})
+    details = _stages(H, t, d_threshold, eps, samples, seed)
+    failed = False
+    for name in STAGES:
+        if failed:
+            report.stages.append(StageRecord(name, "skipped"))
+            continue
         start = time.perf_counter()
         try:
-            detail = fn()
+            detail = next(details)
         except InvariantViolation as exc:
             raise InvariantViolation(f"stage {name}: {exc}", exc.witness) from exc
         except TclError as exc:
-            stages.append(StageRecord(name, "failed", {"error": str(exc)}))
-            return False
-        finally:
-            timings[name] = time.perf_counter() - start
-        stages.append(StageRecord(name, "ok", detail))
-        return True
-
-    state: dict = {}
-
-    def stage_input():
-        return {
-            "n": H.n,
-            "edges": len(H.edges),
-            "min_degree": H.min_degree(1) if H.n >= 1 else 0,
-            "density": str(density(H)),
-        }
-
-    def stage_slice():
-        S = build_weak_slice(H, t, seed)
-        state["S"] = S
-        return {"t": S.t, "m": S.m, "deleted": list(S.deleted_vertices)}
-
-    def stage_reduce():
-        S = state["S"]
-        R = build_reduced_graph(H, S, d_threshold, eps, samples, derive_seed(seed, 1))
-        state["R"] = R
-        total = len(R.densities)
-        regular = sum(1 for ok in R.regular.values() if ok)
-        return {
-            "triples": total,
-            "regular": regular,
-            "regular_fraction": str(Fraction(regular, total)),
-            "thresholded_edges": len(R.thresholded_edges()),
-        }
-
-    def stage_good():
-        R = state["R"]
-        good = good_clusters(R, 2 * math.sqrt(eps))
-        state["good"] = good
-        if len(good) < 3:
-            raise TclError(f"only {len(good)} good clusters; need at least 3")
-        return {"good_clusters": list(good), "count": len(good)}
-
-    def stage_matching():
-        R: ReducedGraph = state["R"]
-        good = state["good"]
-        pos = {c: i + 1 for i, c in enumerate(good)}
-        good_set = set(good)
-        sub_edges = [
-            tuple(sorted(pos[c] for c in X))
-            for X in R.thresholded_edges()
-            if set(X) <= good_set
-        ]
-        view = Hypergraph3(len(good), sub_edges)
-        result = tight_perfect_fractional_matching(view)
-        weights = {
-            tuple(sorted(good[v - 1] + 1 for v in e)): w
-            for e, w in result.matching.weights.items()
-        }
-        M = FractionalMatching(
-            n=R.t,
-            weights=weights,
-            total_weight=result.matching.total_weight,
-        )
-        state["M"] = M
-        return {
-            "restricted_n": len(good),
-            "restricted_edges": len(sub_edges),
-            "restricted_min_degree": view.min_degree(1),
-            "total_weight": str(result.matching.total_weight),
-            "perfect_on_restriction": result.matching.perfect,
-            "component": result.component,
-            "support_size": len(result.matching.weights),
-        }
-
-    def stage_cycle():
-        res = matching_guided_cycle(H, state["S"], state["R"], state["M"], derive_seed(seed, 2))
-        if res.cycle is None:
-            raise TclError(res.detail)
-        return {
-            **res.cycle.to_json_dict(res.coverage),
-            "targets": {str(k): v for k, v in sorted(res.targets.items())},
-            "scale_used": res.scale_used,
-        }
-
-    plan = [
-        ("input", stage_input),
-        ("slice", stage_slice),
-        ("reduce", stage_reduce),
-        ("good-clusters", stage_good),
-        ("reduced-matching", stage_matching),
-        ("cycle", stage_cycle),
-    ]
-    failed = False
-    for name, fn in plan:
-        if failed:
-            stages.append(StageRecord(name, "skipped"))
-            continue
-        if not run_stage(name, fn):
+            report.stages.append(StageRecord(name, "failed", {"error": str(exc)}))
             failed = True
+            continue
+        finally:
+            report.timings[name] = time.perf_counter() - start
+        report.stages.append(StageRecord(name, "ok", detail))
     return report
+
+
+def _stages(
+    H: Hypergraph3,
+    t: int,
+    d_threshold: Fraction,
+    eps: float,
+    samples: int,
+    seed: int,
+) -> Iterator[dict]:
+    """Run the stages in STAGES order, yielding each one's detail."""
+    yield {
+        "n": H.n,
+        "edges": len(H.edges),
+        "min_degree": H.min_degree(1) if H.n >= 1 else 0,
+        "density": str(density(H)),
+    }
+
+    S = build_weak_slice(H, t, seed)
+    yield {"t": S.t, "m": S.m, "deleted": list(S.deleted_vertices)}
+
+    R = build_reduced_graph(H, S, d_threshold, eps, samples, derive_seed(seed, 1))
+    thresholded = R.thresholded_edges()
+    total = len(R.densities)
+    regular = sum(1 for ok in R.regular.values() if ok)
+    yield {
+        "triples": total,
+        "regular": regular,
+        "regular_fraction": str(Fraction(regular, total)),
+        "thresholded_edges": len(thresholded),
+    }
+
+    good = good_clusters(R, 2 * math.sqrt(eps))
+    if len(good) < 3:
+        raise TclError(f"only {len(good)} good clusters; need at least 3")
+    yield {"good_clusters": list(good), "count": len(good)}
+
+    pos = {c: i + 1 for i, c in enumerate(good)}
+    good_set = set(good)
+    sub_edges = [tuple(sorted(pos[c] for c in X)) for X in thresholded if set(X) <= good_set]
+    view = Hypergraph3(len(good), sub_edges)
+    result = tight_perfect_fractional_matching(view)
+    weights = {
+        tuple(sorted(good[v - 1] + 1 for v in e)): w
+        for e, w in result.matching.weights.items()
+    }
+    M = FractionalMatching(n=R.t, weights=weights, total_weight=result.matching.total_weight)
+    yield {
+        "restricted_n": len(good),
+        "restricted_edges": len(sub_edges),
+        "restricted_min_degree": view.min_degree(1),
+        "total_weight": str(result.matching.total_weight),
+        "perfect_on_restriction": result.matching.perfect,
+        "component": result.component,
+        "support_size": len(result.matching.weights),
+    }
+
+    res = matching_guided_cycle(H, S, R, M, derive_seed(seed, 2))
+    if res.cycle is None:
+        raise TclError(res.detail)
+    yield {
+        **res.cycle.to_json_dict(res.coverage),
+        "targets": {str(k): v for k, v in sorted(res.targets.items())},
+        "scale_used": res.scale_used,
+    }

@@ -4,13 +4,15 @@ inheritance inequality.
 A weak slice is a seeded random equipartition of the vertex set into t
 clusters of equal size m (after deleting the n mod t remainder), with
 complete bipartite pair graphs between clusters.  It stands in for a
-genuine regular partition at desk scale: densities of cluster triples are
-exact rationals, counts over the m^3 crossing triples, taken from one index
-that buckets the edges of H by cluster triple; "regular" labels come from
-a sampled search for deviating induced sub-polyads, which is one-sided
-evidence only.  The reduced-graph inequality checked by reduced_degree_check is a
-counting fact and must hold for every density/label configuration, however
-adversarial.
+genuine regular partition at desk scale.  A ClusterIndex buckets the edges
+of H by cluster triple in one pass, and the per-triple queries read it:
+relative_density gives exact rational densities (counts over the m^3
+crossing triples), and irregularity_witness gives "regular" labels from a
+sampled search for deviating induced sub-polyads, which is one-sided
+evidence only.  build_reduced_graph builds one index and calls those two
+queries for every triple; there is no other reduce path.  The reduced-graph
+inequality checked by reduced_degree_check is a counting fact and must hold
+for every density/label configuration, however adversarial.
 """
 
 from __future__ import annotations
@@ -64,10 +66,14 @@ class WeakSlice:
         }
 
 
-def build_weak_slice(H: Hypergraph3, t: int, seed: int) -> WeakSlice:
-    """Seeded uniform equipartition with complete pair graphs."""
+def _check_t(t: int) -> None:
     if t < 3:
         raise InvalidArgumentError(f"need t >= 3, got {t}")
+
+
+def build_weak_slice(H: Hypergraph3, t: int, seed: int) -> WeakSlice:
+    """Seeded uniform equipartition with complete pair graphs."""
+    _check_t(t)
     if t > H.n:
         raise InvalidArgumentError(f"t={t} exceeds n={H.n}")
     rng = random.Random(seed)
@@ -90,29 +96,37 @@ def _check_triple(S: WeakSlice, X: Iterable[int]) -> Triple:
     return xs  # type: ignore[return-value]
 
 
-def _cluster_buckets(H: Hypergraph3, S: WeakSlice) -> dict[Triple, list[Edge3]]:
-    """One pass over H: each sorted cluster triple -> its crossing edges.
+def _check_search(eps: float, samples: int) -> None:
+    """The witness-search parameters: eps in (0, 1) and at least one sample."""
+    if not 0 < eps < 1:
+        raise InvalidArgumentError(f"eps must be in (0,1), got {eps}")
+    if samples < 1:
+        raise InvalidArgumentError(f"samples must be >= 1, got {samples}")
+
+
+class ClusterIndex:
+    """The edges of H bucketed by sorted cluster triple of a slice S, built in
+    one pass over H; every per-triple query below reads it.
 
     Each edge is stored in cluster order (its vertex in the smallest cluster
     first).  Edges touching a deleted vertex or meeting a cluster twice belong
     to no triple and are dropped.
     """
-    where = S.cluster_lookup()
-    buckets: dict[Triple, list[Edge3]] = {}
-    for e in H.edges:
-        try:
-            (i, a), (j, b), (k, c) = sorted((where[v], v) for v in e)
-        except KeyError:
-            continue
-        if i != j and j != k:
-            buckets.setdefault((i, j, k), []).append((a, b, c))
-    return buckets
 
+    __slots__ = ("S", "buckets")
 
-def _density(bucket: Sequence[Edge3], S: WeakSlice, xs: Triple) -> Fraction:
-    i, j, k = xs
-    den = len(S.clusters[i]) * len(S.clusters[j]) * len(S.clusters[k])
-    return Fraction(len(bucket), den) if den else Fraction(0)
+    def __init__(self, H: Hypergraph3, S: WeakSlice):
+        where = S.cluster_lookup()
+        buckets: dict[Triple, list[Edge3]] = {}
+        for e in H.edges:
+            try:
+                (i, a), (j, b), (k, c) = sorted((where[v], v) for v in e)
+            except KeyError:
+                continue
+            if i != j and j != k:
+                buckets.setdefault((i, j, k), []).append((a, b, c))
+        self.S = S
+        self.buckets = buckets
 
 
 def _sub_density(bucket: Sequence[Edge3], subsets: Sequence[Sequence[int]]) -> Fraction:
@@ -125,28 +139,29 @@ def _sub_density(bucket: Sequence[Edge3], subsets: Sequence[Sequence[int]]) -> F
     return Fraction(num, den)
 
 
-def relative_density(H: Hypergraph3, S: WeakSlice, X: Iterable[int]) -> Fraction:
+def relative_density(index: ClusterIndex, X: Iterable[int]) -> Fraction:
     """Fraction of the m^3 crossing triples over X that are edges of H.
 
     Always an exact rational; an empty polyad has density 0 by convention.
     """
+    S = index.S
     xs = _check_triple(S, X)
-    return _density(_cluster_buckets(H, S).get(xs, ()), S, xs)
+    den = len(S.clusters[xs[0]]) * len(S.clusters[xs[1]]) * len(S.clusters[xs[2]])
+    return Fraction(len(index.buckets.get(xs, ())), den) if den else Fraction(0)
 
 
 def sub_polyad_density(
-    H: Hypergraph3,
-    S: WeakSlice,
+    index: ClusterIndex,
     X: Iterable[int],
     subsets: Sequence[Sequence[int]],
 ) -> Fraction:
     """Density of the sub-polyad induced by one vertex subset per cluster of X."""
-    xs = _check_triple(S, X)
+    xs = _check_triple(index.S, X)
     for cid, sub in zip(xs, subsets):
-        cluster = set(S.clusters[cid])
+        cluster = set(index.S.clusters[cid])
         if not set(sub) <= cluster:
             raise InvalidArgumentError(f"subset {sub} not inside cluster {cid}")
-    return _sub_density(_cluster_buckets(H, S).get(xs, ()), subsets)
+    return _sub_density(index.buckets.get(xs, ()), subsets)
 
 
 @dataclass(frozen=True)
@@ -162,8 +177,7 @@ class IrregularityWitness:
 
 
 def irregularity_witness(
-    H: Hypergraph3,
-    S: WeakSlice,
+    index: ClusterIndex,
     X: Iterable[int],
     d,
     eps: float,
@@ -177,23 +191,10 @@ def irregularity_witness(
     deviates from d by more than eps.  Returning None is NOT a proof of
     regularity, only absence of sampled evidence.
     """
+    S = index.S
     xs = _check_triple(S, X)
-    return _find_witness(_cluster_buckets(H, S).get(xs, ()), S, xs, d, eps, samples, seed)
-
-
-def _find_witness(
-    bucket: Sequence[Edge3],
-    S: WeakSlice,
-    xs: Triple,
-    d,
-    eps: float,
-    samples: int,
-    seed: int,
-) -> IrregularityWitness | None:
-    if not 0 < eps < 1:
-        raise InvalidArgumentError(f"eps must be in (0,1), got {eps}")
-    if samples < 1:
-        raise InvalidArgumentError(f"samples must be >= 1, got {samples}")
+    _check_search(eps, samples)
+    bucket = index.buckets.get(xs, ())
     rng = random.Random(seed)
     parts = [list(S.clusters[c]) for c in xs]
     full_support = S.m ** 3
@@ -332,19 +333,18 @@ def build_reduced_graph(
     samples: int,
     seed: int,
 ) -> ReducedGraph:
-    """Measure all triple densities and label regularity by witness search.
+    """Measure all triple densities and label regularity by witness search,
+    through relative_density and irregularity_witness on one ClusterIndex.
 
     A triple is labeled regular iff no deviating sub-polyad was found in
     `samples` draws against its own measured density (one-sided evidence).
     """
-    buckets = _cluster_buckets(H, S)
+    index = ClusterIndex(H, S)
     densities: dict[Triple, Fraction] = {}
     regular: dict[Triple, bool] = {}
     for idx, X in enumerate(itertools.combinations(range(S.t), 3)):
-        bucket = buckets.get(X, ())
-        dv = _density(bucket, S, X)
-        densities[X] = dv
-        w = _find_witness(bucket, S, X, dv, eps, samples, derive_seed(seed, idx))
+        dv = densities[X] = relative_density(index, X)
+        w = irregularity_witness(index, X, dv, eps, samples, derive_seed(seed, idx))
         regular[X] = w is None
     return ReducedGraph(
         t=S.t, m=S.m, densities=densities, regular=regular, d_threshold=d_threshold

@@ -178,6 +178,7 @@ def test_verify_rejects_options_the_campaign_does_not_read(capsys, argv, named):
     (["cycle-oracle", "--trials", "-1"], "--trials must be >= 0, got -1"),
     (["graphmeet", "--n", "0", "--trials", "2"], "--n must be >= 1, got 0"),
     (["pipeline", "--n", "0"], "--n must be >= 1, got 0"),
+    (["cycle-oracle", "--trials", "3", "--max-n", "10"], "cycle oracle needs 4 <= max_n <= 9, got 10"),
 ])
 def test_verify_range_errors_name_the_option(capsys, argv, message):
     code, out, err = run_cli(capsys, "verify", *argv)
@@ -190,6 +191,14 @@ def test_verify_accepts_seed_and_jobs_for_every_campaign(capsys):
     code2, out2, _ = run_cli(capsys, "verify", "extremal-bound", "--max-n", "5",
                              "--seed", "3", "--jobs", "2")
     assert code == code2 == 0 and out == out2
+
+
+def test_verify_cycle_oracle_runs_at_the_max_n_it_reports(capsys):
+    code, out, _ = run_cli(capsys, "verify", "cycle-oracle", "--trials", "3", "--seed", "2")
+    code2, out2, _ = run_cli(capsys, "verify", "cycle-oracle", "--trials", "3", "--seed", "2",
+                             "--max-n", "9")
+    assert code == code2 == 0 and out == out2
+    assert json.loads(out)["stats"]["max_n"] == 9
 
 
 def test_pipeline_command_canonical(capsys, tmp_path):
@@ -263,6 +272,7 @@ BAD_INPUT_CASES = [
     ("verify-zero-jobs", ["verify", "reduced-degree", "--trials", "3", "--jobs", "0"], {}, None),
     ("verify-negative-jobs", ["verify", "farkas", "--trials", "3", "--jobs", "-2"], {}, None),
     ("verify-cycle-oracle-max-n", ["verify", "cycle-oracle", "--trials", "3", "--max-n", "3"], {}, None),
+    ("verify-cycle-oracle-max-n-above", ["verify", "cycle-oracle", "--trials", "3", "--max-n", "10"], {}, None),
     ("verify-erdos-gallai-max-n", ["verify", "erdos-gallai", "--trials", "3", "--max-n", "1"], {}, None),
     ("verify-exhaustive-n", ["verify", "erdos-gallai", "--trials", "3", "--exhaustive-n", "8"], {}, None),
     ("verify-extremal-bound-trials-jobs", ["verify", "extremal-bound", "--max-n", "5", "--jobs", "-3"], {}, None),
@@ -270,6 +280,11 @@ BAD_INPUT_CASES = [
     ("verify-pipeline-zero-jobs", ["verify", "pipeline", "--n", "18", "--jobs", "0"], {}, None),
     ("verify-graphmeet-zero-n", ["verify", "graphmeet", "--n", "0", "--trials", "2"], {}, None),
     ("verify-pipeline-zero-n", ["verify", "pipeline", "--n", "0"], {}, None),
+    ("pipeline-eps-negative", ["pipeline", "{file}", "--eps", "-0.5"], {}, None),
+    ("pipeline-eps-above-one", ["pipeline", "{file}", "--eps", "1.5"], {}, None),
+    ("pipeline-eps-nan", ["pipeline", "{file}", "--eps", "nan"], {}, None),
+    ("pipeline-zero-samples", ["pipeline", "{file}", "--samples", "0"], {}, None),
+    ("pipeline-t-two", ["pipeline", "{file}", "--t", "2"], {}, None),
     ("egcheck-negative-k", ["egcheck", "{file}", "--k", "-3"], {}, b"4 2\n1 2\n3 4\n"),
 ]
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from tightcycle import pipeline
-from tightcycle.errors import InvariantViolation
+from tightcycle.errors import InvalidArgumentError, InvariantViolation
 from tightcycle.generators import extremal, random_3graph
 from tightcycle.hypergraph import complete_3graph
 from tightcycle.pipeline import run_pipeline
@@ -69,6 +69,19 @@ def test_pipeline_records_failure_and_skips():
     assert report.failed_stage() == "slice"
     tail = [s.status for s in report.stages[2:]]
     assert set(tail) == {"skipped"}
+
+
+@pytest.mark.parametrize("t,eps,samples", [
+    (2, 0.25, 10), (6, -0.5, 10), (6, 0.0, 10), (6, 1.0, 10), (6, 1.5, 10),
+    (6, float("nan"), 10), (6, 0.25, 0),
+])
+def test_host_independent_bad_parameters_raise_before_any_stage(monkeypatch, t, eps, samples):
+    def unreachable(*args):
+        raise AssertionError("the input stage ran")
+
+    monkeypatch.setattr(pipeline, "density", unreachable)
+    with pytest.raises(InvalidArgumentError):
+        run_pipeline(complete_3graph(12), t, Fraction(1, 20), eps, samples, seed=0)
 
 
 def test_invariant_violation_propagates_with_stage_name(monkeypatch):

@@ -19,6 +19,7 @@ from tightcycle.generators import derive_seed, extremal, random_3graph
 from tightcycle.hypergraph import Hypergraph3, complete_3graph
 from tightcycle.pipeline import run_pipeline
 from tightcycle.slices import (
+    ClusterIndex,
     IrregularityWitness,
     ReducedGraph,
     build_reduced_graph,
@@ -121,7 +122,7 @@ def test_corpus_covers_remainders_and_same_cluster_edges():
 def test_relative_density_matches_oracle(name, H, S):
     for X in itertools.combinations(range(S.t), 3):
         expected = oracle_density(H, [S.clusters[c] for c in X])
-        assert relative_density(H, S, reversed(X)) == expected
+        assert relative_density(ClusterIndex(H, S), reversed(X)) == expected
 
 
 @pytest.mark.parametrize("name,H,S", CORPUS, ids=IDS)
@@ -132,7 +133,7 @@ def test_sub_polyad_density_matches_oracle(name, H, S):
             subsets = [
                 rng.sample(S.clusters[c], rng.randint(0, len(S.clusters[c]))) for c in X
             ]
-            got = sub_polyad_density(H, S, X, subsets)
+            got = sub_polyad_density(ClusterIndex(H, S), X, subsets)
             assert got == oracle_density(H, subsets)
 
 
@@ -143,7 +144,7 @@ def test_irregularity_witness_matches_oracle():
             dv = oracle_density(H, [S.clusters[c] for c in X])
             for d, eps in ((dv, 0.1), (Fraction(1, 2), 0.3)):
                 seed = derive_seed(len(name), idx)
-                got = irregularity_witness(H, S, X, d, eps, 12, seed)
+                got = irregularity_witness(ClusterIndex(H, S), X, d, eps, 12, seed)
                 assert got == oracle_witness(H, S, X, d, eps, 12, seed), (name, X, d)
                 outcomes.add(got is None)
     assert outcomes == {True, False}

@@ -5,10 +5,12 @@ from math import comb
 
 import pytest
 
+from tightcycle import slices
 from tightcycle.errors import InvalidArgumentError
 from tightcycle.generators import random_3graph
 from tightcycle.hypergraph import Hypergraph3, complete_3graph
 from tightcycle.slices import (
+    ClusterIndex,
     ReducedGraph,
     WeakSlice,
     build_reduced_graph,
@@ -64,9 +66,9 @@ def test_relative_density_extremes():
     clusters = ((1, 2, 3, 4), (5, 6, 7, 8), (9, 10, 11, 12))
     S_host = tripartite_complete(clusters)
     S = WeakSlice(n=12, clusters=clusters, deleted_vertices=())
-    assert relative_density(S_host, S, (0, 1, 2)) == 1
+    assert relative_density(ClusterIndex(S_host, S), (0, 1, 2)) == 1
     empty = Hypergraph3(12, [])
-    assert relative_density(empty, S, (0, 1, 2)) == 0
+    assert relative_density(ClusterIndex(empty, S), (0, 1, 2)) == 0
 
 
 def test_relative_density_matches_exhaustive_count():
@@ -74,7 +76,7 @@ def test_relative_density_matches_exhaustive_count():
     S = WeakSlice(n=12, clusters=clusters, deleted_vertices=())
     rng = random.Random(3)
     H = random_3graph(12, 0.35, 44)
-    got = relative_density(H, S, (0, 1, 2))
+    got = relative_density(ClusterIndex(H, S), (0, 1, 2))
     count = sum(
         1
         for a in clusters[0]
@@ -161,9 +163,9 @@ def test_witness_never_found_on_uniform_hosts():
     clusters = ((1, 2, 3, 4), (5, 6, 7, 8), (9, 10, 11, 12))
     S = WeakSlice(n=12, clusters=clusters, deleted_vertices=())
     full = tripartite_complete(clusters)
-    assert irregularity_witness(full, S, (0, 1, 2), Fraction(1), 0.1, 200, seed=5) is None
+    assert irregularity_witness(ClusterIndex(full, S), (0, 1, 2), Fraction(1), 0.1, 200, seed=5) is None
     empty = Hypergraph3(12, [])
-    assert irregularity_witness(empty, S, (0, 1, 2), Fraction(0), 0.1, 200, seed=5) is None
+    assert irregularity_witness(ClusterIndex(empty, S), (0, 1, 2), Fraction(0), 0.1, 200, seed=5) is None
 
 
 def test_witness_found_on_planted_halves():
@@ -174,13 +176,13 @@ def test_witness_found_on_planted_halves():
     S = WeakSlice(n=12, clusters=clusters, deleted_vertices=())
     H = tripartite_complete(halves)
     H = Hypergraph3(12, H.edges)
-    d = relative_density(H, S, (0, 1, 2))
+    d = relative_density(ClusterIndex(H, S), (0, 1, 2))
     assert d == Fraction(8, 64)
-    assert sub_polyad_density(H, S, (0, 1, 2), halves) == 1
-    w = irregularity_witness(H, S, (0, 1, 2), d, 0.1, 400, seed=3)
+    assert sub_polyad_density(ClusterIndex(H, S), (0, 1, 2), halves) == 1
+    w = irregularity_witness(ClusterIndex(H, S), (0, 1, 2), d, 0.1, 400, seed=3)
     assert w is not None
     # the witness re-verifies from scratch
-    again = sub_polyad_density(H, S, w.X, w.subsets)
+    again = sub_polyad_density(ClusterIndex(H, S), w.X, w.subsets)
     assert again == w.observed_density
     assert abs(float(again) - float(d)) > 0.1
 
@@ -240,3 +242,23 @@ def test_relative_degree_vertex_and_inheritance():
             total_gap += gap
             count += 1
     assert total_gap / count < 0.1
+
+
+def test_build_reduced_graph_calls_the_public_queries(monkeypatch):
+    # The reduce layer has one path: every triple's density and label come
+    # from the module-level queries, where tracers wrap them.
+    H = random_3graph(24, 0.5, 9)
+    S = build_weak_slice(H, 6, seed=2)
+    expected = build_reduced_graph(H, S, Fraction(1, 20), 0.25, 40, seed=4)
+    calls = {"relative_density": 0, "irregularity_witness": 0}
+    for name in calls:
+        original = getattr(slices, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(slices, name, counting)
+    got = build_reduced_graph(H, S, Fraction(1, 20), 0.25, 40, seed=4)
+    assert calls == {"relative_density": 20, "irregularity_witness": 20}
+    assert got == expected
