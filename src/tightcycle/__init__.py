@@ -25,7 +25,6 @@ from .tight import (
     component_star,
     is_tightly_connected,
     tight_components,
-    tight_walk,
 )
 from .matching import (
     GraphMatching,
@@ -43,7 +42,6 @@ from .fractional import (
     tight_perfect_fractional_matching,
     max_fractional_matching,
     perfect_or_certificate,
-    refute_certificate,
 )
 from .slices import (
     ClusterIndex,
@@ -55,8 +53,6 @@ from .slices import (
     good_clusters,
     irregularity_witness,
     reduced_degree_check,
-    mean_relative_degree,
-    relative_degree_vertex,
     relative_density,
     sub_polyad_density,
 )

@@ -24,6 +24,7 @@ from .cycles import longest_tight_cycle, validate_cycle
 from .errors import InvariantViolation, TclError
 from .fractional import max_fractional_matching, tight_perfect_fractional_matching
 from .generators import (
+    derive_seed,
     extremal,
     extremal_from_eta,
     provenance_comment,
@@ -249,7 +250,8 @@ def cmd_reduce(args) -> int:
     H = read_hypergraph(_read_source(args.file))
     seed = _default_seed(args.seed)
     S = build_weak_slice(H, args.t, seed)
-    R = build_reduced_graph(H, S, _parse_threshold(args.d), args.eps, args.samples, seed)
+    # seeded as the reduce stage of `tcl pipeline --seed`
+    R = build_reduced_graph(H, S, _parse_threshold(args.d), args.eps, args.samples, derive_seed(seed, 1))
     _emit(R.to_json_dict(), args.format)
     return EXIT_OK
 

@@ -18,13 +18,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 from .errors import InvalidArgumentError, InvariantViolation, PreconditionError
-from .hypergraph import Edge3, Graph, Hypergraph3
+from .hypergraph import Edge3, Hypergraph3
 from .lp import solve_matching_lp
-from .matching import largest_component, max_matching
-from .tight import (  # noqa: F401  perfbench/spans.py traces component_star here
+from .matching import largest_component, max_matching  # noqa: F401
+from .tight import (  # noqa: F401  perfbench/spans.py traces max_matching and component_star here
     TightComponentLabeling,
     _star_edges,
     component_star,
@@ -246,72 +246,4 @@ def tight_perfect_fractional_matching(H: Hypergraph3) -> FracmatchResult:
         component=star_label,
         subgraph_min_degree=delta_sub,
         matching=outcome,
-    )
-
-
-@dataclass(frozen=True)
-class CertificateRefutation:
-    """Outcome of running the constructive contradiction against a candidate
-    certificate for a degree-conditioned host."""
-
-    anchor_vertex: int | None
-    violating_edge: Edge3 | None
-    edge_value: Fraction | None
-    axiom_failed: str | None  # set when the candidate was never a certificate
-
-    @property
-    def refuted(self) -> bool:
-        return self.violating_edge is not None or self.axiom_failed is not None
-
-
-def refute_certificate(H: Hypergraph3, a: Sequence) -> CertificateRefutation:
-    """Demonstrate that `a` cannot certify infeasibility for a host meeting
-    the degree precondition.
-
-    Mirrors the constructive argument: pick u maximizing a_u, take a
-    matching of size n/3 in the largest component of u's link graph, build
-    the edges e_i = {u, x_i, y_i} and the partition classes S_i = {x_i,
-    y_i, z_i}; summing gives sum_i a(e_i) >= a.1, so either a.1 <= 0
-    (not a certificate) or some edge inequality a(e_i) <= 0 fails.  The
-    returned report names that edge.
-    """
-    n = H.n
-    if n % 3 != 0 or 9 * H.min_degree(1) <= 5 * comb(n, 2):
-        raise PreconditionError("refutation argument needs 3 | n and degree > (5/9)C(n,2)")
-    vec = [Fraction(x) for x in a]
-    if len(vec) != n:
-        raise InvalidArgumentError(f"certificate length {len(vec)} != n = {n}")
-    if sum(vec) <= 0:
-        return CertificateRefutation(
-            anchor_vertex=None, violating_edge=None, edge_value=None,
-            axiom_failed="a.1 <= 0",
-        )
-    u = max(range(1, n + 1), key=lambda v: (vec[v - 1], -v))
-    _, cu_edges = largest_component(H.link_graph(u))
-    mm = max_matching(Graph(n, cu_edges))
-    if mm.size < n // 3:
-        raise InvariantViolation(
-            f"link component of {u} lacks a matching of size {n // 3}",
-            witness=u,
-        )
-    pairs = mm.pairs[: n // 3]
-    covered = {v for p in pairs for v in p}
-    zs = sorted(v for v in range(1, n + 1) if v not in covered)
-    if len(zs) != n // 3:
-        raise InvariantViolation("partition classes do not cover V", witness=zs)
-    for (x, y), z in zip(pairs, zs):
-        edge = tuple(sorted((u, x, y)))
-        if edge not in H.edge_set:
-            raise InvariantViolation(f"constructed edge {edge} missing from H", witness=edge)
-        val = vec[u - 1] + vec[x - 1] + vec[y - 1]
-        if val > 0:
-            return CertificateRefutation(
-                anchor_vertex=u,
-                violating_edge=edge,  # type: ignore[arg-type]
-                edge_value=val,
-                axiom_failed=None,
-            )
-    raise InvariantViolation(
-        "no violated edge found although a.1 > 0; summation argument broken",
-        witness=tuple(vec),
     )

@@ -118,24 +118,6 @@ def max_matching(G: Graph) -> GraphMatching:
     return GraphMatching(pairs)
 
 
-def max_matching_brute(G: Graph) -> int:
-    """Exhaustive maximum matching size; test oracle, exponential time."""
-    adj = G.adjacency
-
-    def best(available: frozenset[int]) -> int:
-        for v in sorted(available):
-            ns = [u for u in adj[v] if u in available]
-            # v is either unmatched (drop it) or matched to one neighbour
-            without = best(available - {v})
-            with_v = 0
-            for u in ns:
-                with_v = max(with_v, 1 + best(available - {v, u}))
-            return max(without, with_v)
-        return 0
-
-    return best(frozenset(range(1, G.n + 1)))
-
-
 def erdos_gallai_threshold(N: int, k: int) -> int:
     """Edge count above which every graph on N vertices has a matching of size k.
 

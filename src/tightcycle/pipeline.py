@@ -7,8 +7,9 @@ stage's detail in STAGES order; a stage fails by raising.  run_pipeline
 times and records every stage, failed ones too, and marks the later ones
 skipped.  An InvariantViolation is a bug, not a negative result, so it is
 not recorded: it propagates with the stage name in its message.  t < 3,
-eps outside (0, 1) and samples < 1 are wrong for every host and raise
-InvalidArgumentError before any stage; t > n is a recorded `slice` failure.
+d outside [0, 1], eps outside (0, 1) and samples < 1 are wrong for every
+host and raise InvalidArgumentError before any stage; t > n is a recorded
+`slice` failure.
 Reports serialize to JSON with a canonical form that excludes timings, so
 pinned-seed runs are byte-identical.  Each stage draws its seed from the
 one `seed` argument (the cycle stage uses derive_seed(seed, 2)); `tcl
@@ -30,7 +31,7 @@ from .errors import InvariantViolation, TclError
 from .fractional import FractionalMatching, tight_perfect_fractional_matching
 from .generators import derive_seed
 from .hypergraph import Hypergraph3, density
-from .slices import _check_search, _check_t, build_reduced_graph, build_weak_slice, good_clusters
+from .slices import _check_d, _check_search, _check_t, build_reduced_graph, build_weak_slice, good_clusters
 
 STAGES = ("input", "slice", "reduce", "good-clusters", "reduced-matching", "cycle")
 
@@ -92,6 +93,7 @@ def run_pipeline(
     seed: int,
 ) -> PipelineReport:
     _check_t(t)
+    _check_d(d_threshold)
     _check_search(eps, samples)
     params = {
         "t": t,

@@ -10,9 +10,10 @@ relative_density gives exact rational densities (counts over the m^3
 crossing triples), and irregularity_witness gives "regular" labels from a
 sampled search for deviating induced sub-polyads, which is one-sided
 evidence only.  build_reduced_graph builds one index and calls those two
-queries for every triple; there is no other reduce path.  The reduced-graph
-inequality checked by reduced_degree_check is a counting fact and must hold
-for every density/label configuration, however adversarial.
+queries for every triple; there is no other reduce path.  One pass over the
+triples tallies each cluster's counts for reduced_degree_check, which checks
+deg(Y; R_d) >= deg(Y; R) - d - zeta(Y) for every cluster Y: a counting fact
+that must hold for every density/label configuration, however adversarial.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from typing import Iterable, Sequence
 
 from .errors import InvalidArgumentError
@@ -96,6 +97,12 @@ def _check_triple(S: WeakSlice, X: Iterable[int]) -> Triple:
     return xs  # type: ignore[return-value]
 
 
+def _check_d(d_threshold) -> None:
+    """The density threshold: d in [0, 1]."""
+    if not 0 <= d_threshold <= 1:
+        raise InvalidArgumentError(f"d must be in [0,1], got {d_threshold}")
+
+
 def _check_search(eps: float, samples: int) -> None:
     """The witness-search parameters: eps in (0, 1) and at least one sample."""
     if not 0 < eps < 1:
@@ -129,14 +136,12 @@ class ClusterIndex:
         self.buckets = buckets
 
 
-def _sub_density(bucket: Sequence[Edge3], subsets: Sequence[Sequence[int]]) -> Fraction:
-    """Density of the bucket's polyad restricted to one subset per cluster."""
+def _sub_count(bucket: Sequence[Edge3], subsets: Sequence[Sequence[int]]) -> tuple[int, int]:
+    """Edges of the bucket's polyad inside one subset per cluster, and the
+    number of crossing triples those subsets span."""
     A, B, C = (set(sub) for sub in subsets)
-    den = len(A) * len(B) * len(C)
-    if den == 0:
-        return Fraction(0)
     num = sum(1 for a, b, c in bucket if a in A and b in B and c in C)
-    return Fraction(num, den)
+    return num, len(A) * len(B) * len(C)
 
 
 def relative_density(index: ClusterIndex, X: Iterable[int]) -> Fraction:
@@ -161,7 +166,8 @@ def sub_polyad_density(
         cluster = set(index.S.clusters[cid])
         if not set(sub) <= cluster:
             raise InvalidArgumentError(f"subset {sub} not inside cluster {cid}")
-    return _sub_density(index.buckets.get(xs, ()), subsets)
+    num, den = _sub_count(index.buckets.get(xs, ()), subsets)
+    return Fraction(num, den) if den else Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -188,12 +194,16 @@ def irregularity_witness(
 
     Draws `samples` random vertex-subset-induced sub-polyads Q with
     |K_3(Q)| > eps * |K_3(polyad)| and returns the first whose density
-    deviates from d by more than eps.  Returning None is NOT a proof of
-    regularity, only absence of sampled evidence.
+    deviates from d by more than eps, compared exactly.  Returning None is NOT
+    a proof of regularity, only absence of sampled evidence.
     """
     S = index.S
     xs = _check_triple(S, X)
     _check_search(eps, samples)
+    # |num/den - d| > eps is tested exactly: cross-multiplied over positive
+    # denominators, in integers, so no rounding can make a witness
+    dn, dd = Fraction(d).as_integer_ratio()
+    en, ed = Fraction(eps).as_integer_ratio()
     bucket = index.buckets.get(xs, ())
     rng = random.Random(seed)
     parts = [list(S.clusters[c]) for c in xs]
@@ -205,12 +215,12 @@ def irregularity_witness(
             subs.append(tuple(sorted(rng.sample(part, size))))
         if len(subs[0]) * len(subs[1]) * len(subs[2]) <= eps * full_support:
             continue
-        dq = _sub_density(bucket, subs)
-        if abs(float(dq) - float(d)) > eps:
+        num, den = _sub_count(bucket, subs)
+        if abs(num * dd - dn * den) * ed > en * den * dd:
             return IrregularityWitness(
                 X=xs,
                 subsets=(subs[0], subs[1], subs[2]),
-                observed_density=dq,
+                observed_density=Fraction(num, den),
                 reference_density=d,
                 eps=eps,
             )
@@ -233,6 +243,7 @@ class ReducedGraph:
     d_threshold: Fraction
 
     def __post_init__(self):
+        _check_t(self.t)
         expected = set(itertools.combinations(range(self.t), 3))
         if set(self.densities) != expected or set(self.regular) != expected:
             raise InvalidArgumentError("densities/regular must cover all cluster triples")
@@ -246,31 +257,6 @@ class ReducedGraph:
             for X in sorted(self.densities)
             if self.regular[X] and self.densities[X] >= self.d_threshold
         ]
-
-    def relative_degree_weighted(self, Y: int) -> Fraction:
-        """Sum of densities over triples containing Y, over C(t-1,2)."""
-        self._check_cluster(Y)
-        total = sum(dv for X, dv in self.densities.items() if Y in X)
-        return Fraction(total, comb(self.t - 1, 2))
-
-    def relative_degree_thresholded(self, Y: int) -> Fraction:
-        self._check_cluster(Y)
-        count = sum(1 for X in self.thresholded_edges() if Y in X)
-        return Fraction(count, comb(self.t - 1, 2))
-
-    def zeta(self, Y: int) -> Fraction:
-        """Proportion of cluster triples containing Y labeled irregular."""
-        self._check_cluster(Y)
-        return Fraction(self.irregular_count(Y), comb(self.t - 1, 2))
-
-    def irregular_count(self, Y: int) -> int:
-        return sum(1 for X, ok in self.regular.items() if Y in X and not ok)
-
-    def _check_cluster(self, Y: int) -> None:
-        if self.t < 3:
-            raise InvalidArgumentError(f"need t >= 3, got {self.t}")
-        if not 0 <= Y < self.t:
-            raise InvalidArgumentError(f"cluster {Y} not inside [0, {self.t - 1}]")
 
     def to_json_dict(self) -> dict:
         # colex order: sort by reversed triple
@@ -290,24 +276,29 @@ class ReducedGraph:
         }
 
 
-def relative_degree_vertex(H: Hypergraph3, v: int) -> Fraction:
-    """Degree of v over C(n-1, 2)."""
-    return Fraction(H.degree([v]), comb(H.n - 1, 2))
-
-
-def mean_relative_degree(H: Hypergraph3, vertices: Iterable[int]) -> Fraction:
-    vs = list(vertices)
-    if not vs:
-        raise InvalidArgumentError("mean relative degree of an empty set")
-    return sum(relative_degree_vertex(H, v) for v in vs) / len(vs)
-
-
 @dataclass(frozen=True)
 class ClusterDegreeReport:
     cluster: int
     lhs: Fraction  # relative degree in the thresholded reduced graph
     rhs: Fraction  # weighted relative degree - d - zeta
     ok: bool
+
+
+def _cluster_tallies(R: ReducedGraph) -> tuple[list[Fraction], list[int], list[int]]:
+    """Per cluster, in one pass over the triples containing it: the density
+    sum, the edges of the thresholded reduced graph and the irregular triples.
+    The sums are kept as integers over the densities' common denominator."""
+    scale = lcm(*(dv.denominator for dv in R.densities.values()))
+    weight, kept, irregular = [0] * R.t, [0] * R.t, [0] * R.t
+    for X, dv in R.densities.items():
+        w = dv.numerator * (scale // dv.denominator)
+        ok = R.regular[X]
+        edge = ok and dv >= R.d_threshold
+        for Y in X:
+            weight[Y] += w
+            kept[Y] += edge
+            irregular[Y] += not ok
+    return [Fraction(w, scale) for w in weight], kept, irregular
 
 
 def reduced_degree_check(R: ReducedGraph) -> list[ClusterDegreeReport]:
@@ -317,10 +308,12 @@ def reduced_degree_check(R: ReducedGraph) -> list[ClusterDegreeReport]:
     must hold for every configuration, which is exactly what the verifier
     campaigns assert.
     """
+    weight, kept, irregular = _cluster_tallies(R)
+    pairs = comb(R.t - 1, 2)
     out = []
     for Y in range(R.t):
-        lhs = R.relative_degree_thresholded(Y)
-        rhs = R.relative_degree_weighted(Y) - R.d_threshold - R.zeta(Y)
+        lhs = Fraction(kept[Y], pairs)
+        rhs = (weight[Y] - irregular[Y]) / pairs - R.d_threshold
         out.append(ClusterDegreeReport(cluster=Y, lhs=lhs, rhs=rhs, ok=lhs >= rhs))
     return out
 
@@ -339,6 +332,7 @@ def build_reduced_graph(
     A triple is labeled regular iff no deviating sub-polyad was found in
     `samples` draws against its own measured density (one-sided evidence).
     """
+    _check_d(d_threshold)
     index = ClusterIndex(H, S)
     densities: dict[Triple, Fraction] = {}
     regular: dict[Triple, bool] = {}
@@ -355,7 +349,8 @@ def good_clusters(R: ReducedGraph, threshold_fraction) -> tuple[int, ...]:
     """Clusters lying in fewer than threshold_fraction * C(t,2) irregular
     triples, trimmed largest-id-first to a multiple of 3."""
     cap = threshold_fraction * comb(R.t, 2)
-    kept = [Y for Y in range(R.t) if R.irregular_count(Y) < cap]
+    irregular = _cluster_tallies(R)[2]
+    kept = [Y for Y in range(R.t) if irregular[Y] < cap]
     while len(kept) % 3 != 0:
         kept.pop()  # kept is ascending, so this removes the largest id
     return tuple(kept)

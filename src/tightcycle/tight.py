@@ -1,4 +1,4 @@
-"""Tight walks, tight components, and link-component stars.
+"""Tight components and link-component stars.
 
 Two edges of a 3-graph are tightly adjacent when they share exactly two
 vertices; tight components are the classes of the transitive closure of
@@ -9,7 +9,6 @@ the quadratic edge-adjacency blowup.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -99,68 +98,3 @@ def component_star(
 def _star_edges(u: int, pairs: Iterable[tuple[int, int]]) -> frozenset[Edge3]:
     """The triples formed by adding u to each link-graph edge in `pairs`."""
     return frozenset(tuple(sorted((u,) + p)) for p in pairs)
-
-
-def tight_walk(H: Hypergraph3, start: Edge3, goal: Edge3) -> list[Edge3] | None:
-    """A shortest tight walk from start to goal as a list of edges, or None.
-
-    Consecutive edges of the returned walk share exactly two vertices.  This
-    is the witness-producing companion of tight_components: two edges are in
-    the same component iff a walk exists.
-    """
-    start = tuple(sorted(start))  # type: ignore[assignment]
-    goal = tuple(sorted(goal))  # type: ignore[assignment]
-    if start not in H.edge_set or goal not in H.edge_set:
-        raise InvalidArgumentError("walk endpoints must be edges of H")
-    if start == goal:
-        return [start]
-    pidx = H.pair_index
-    parent: dict[Edge3, Edge3] = {start: start}
-    queue = deque([start])
-    while queue:
-        e = queue.popleft()
-        a, b, c = e
-        for pair in ((a, b), (a, c), (b, c)):
-            for nxt in pidx[pair]:
-                if nxt not in parent:
-                    parent[nxt] = e
-                    if nxt == goal:
-                        walk = [nxt]
-                        while walk[-1] != start:
-                            walk.append(parent[walk[-1]])
-                        walk.reverse()
-                        return walk
-                    queue.append(nxt)
-    return None
-
-
-def naive_tight_components(H: Hypergraph3) -> TightComponentLabeling:
-    """Quadratic pairwise-BFS labeling; test oracle for tight_components."""
-    edges = list(H.edges)
-    m = len(edges)
-    adj: list[list[int]] = [[] for _ in range(m)]
-    for i in range(m):
-        si = set(edges[i])
-        for j in range(i + 1, m):
-            if len(si & set(edges[j])) == 2:
-                adj[i].append(j)
-                adj[j].append(i)
-    labels: dict[Edge3, int] = {}
-    sizes: list[int] = []
-    seen = [False] * m
-    for i in range(m):
-        if seen[i]:
-            continue
-        cid = len(sizes)
-        sizes.append(0)
-        queue = deque([i])
-        seen[i] = True
-        while queue:
-            k = queue.popleft()
-            labels[edges[k]] = cid
-            sizes[cid] += 1
-            for j in adj[k]:
-                if not seen[j]:
-                    seen[j] = True
-                    queue.append(j)
-    return TightComponentLabeling(labels, len(sizes), tuple(sizes))

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -248,6 +249,24 @@ def test_slice_and_reduce_commands(capsys, tmp_path):
     assert all(item["d"] == "1" for item in json.loads(out)["triples"])
 
 
+@pytest.mark.parametrize("seed", ["1", "4"])
+def test_reduce_prints_the_reduced_graph_of_the_pipeline(capsys, tmp_path, seed):
+    from tightcycle.generators import random_3graph
+
+    path = tmp_path / "h.3g"
+    path.write_text(write_hypergraph(random_3graph(18, 0.5, 1)))
+    code, out, _ = run_cli(capsys, "reduce", str(path), "--t", "6", "--seed", seed)
+    assert code == 0
+    triples = json.loads(out)["triples"]
+    regular = sum(item["regular"] for item in triples)
+    kept = sum(item["regular"] and Fraction(item["d"]) >= Fraction(1, 20) for item in triples)
+    _, out, _ = run_cli(capsys, "pipeline", str(path), "--t", "6", "--seed", seed)
+    stages = {stage["name"]: stage for stage in json.loads(out)["stages"]}
+    assert stages["reduce"]["status"] == "ok"
+    detail = stages["reduce"]["detail"]
+    assert (regular, kept) == (detail["regular"], detail["thresholded_edges"])
+
+
 def test_validate_command_verdict_exit(capsys, tmp_path):
     path = tmp_path / "k5.3g"
     path.write_text(write_hypergraph(complete_3graph(5)))
@@ -285,6 +304,8 @@ BAD_INPUT_CASES = [
     ("pipeline-eps-nan", ["pipeline", "{file}", "--eps", "nan"], {}, None),
     ("pipeline-zero-samples", ["pipeline", "{file}", "--samples", "0"], {}, None),
     ("pipeline-t-two", ["pipeline", "{file}", "--t", "2"], {}, None),
+    ("reduce-d-negative", ["reduce", "{file}", "--t", "3", "--d", "-1"], {}, None),
+    ("pipeline-d-above-one", ["pipeline", "{file}", "--t", "3", "--d", "2"], {}, None),
     ("egcheck-negative-k", ["egcheck", "{file}", "--k", "-3"], {}, b"4 2\n1 2\n3 4\n"),
 ]
 

@@ -13,7 +13,6 @@ from tightcycle.fractional import (
     tight_perfect_fractional_matching,
     max_fractional_matching,
     perfect_or_certificate,
-    refute_certificate,
 )
 from tightcycle.generators import (
     extremal,
@@ -249,33 +248,6 @@ def test_above_thirty_corpus_is_exact_and_matches_highs(name):
         assert reference < H.n / 3 - 1e-6
     if a is not None:  # 3a < n: the extremal certificate, a.1 = n - 3a
         assert isinstance(out, FarkasCertificate) and sum(out.a) == H.n - 3 * a
-
-
-def test_refutation_checker():
-    H = complete_3graph(9)
-    # the extremal-style vector is not a certificate for a conditioned host
-    rep = refute_certificate(H, [-2, -2, 1, 1, 1, 1, 1, 1, 1])
-    assert rep.refuted and rep.violating_edge is not None
-    assert rep.edge_value > 0
-    a = rep.violating_edge
-    assert a in H
-
-    # nonpositive total fails the first axiom instead
-    rep2 = refute_certificate(H, [-1] * 9)
-    assert rep2.refuted and rep2.axiom_failed == "a.1 <= 0"
-
-
-def test_refutation_on_random_conditioned_hosts():
-    rng = random.Random(31)
-    H = random_min_degree_3graph(9, min_degree_bound(9), seed=77, p=0.9)
-    for trial in range(25):
-        a = [Fraction(rng.randint(-8, 8), rng.randint(1, 4)) for _ in range(9)]
-        rep = refute_certificate(H, a)
-        assert rep.refuted
-        if rep.violating_edge is not None:
-            e = rep.violating_edge
-            val = sum(Fraction(a[v - 1]) for v in e)
-            assert val == rep.edge_value and val > 0
 
 
 def test_matching_json_shape():

@@ -12,9 +12,26 @@ from tightcycle.matching import (
     graphmeet_verify,
     largest_component,
     max_matching,
-    max_matching_brute,
     reverify_graphmeet,
 )
+
+
+def max_matching_brute(G: Graph) -> int:
+    """Exhaustive maximum matching size; test oracle, exponential time."""
+    adj = G.adjacency
+
+    def best(available: frozenset[int]) -> int:
+        for v in sorted(available):
+            ns = [u for u in adj[v] if u in available]
+            # v is either unmatched (drop it) or matched to one neighbour
+            without = best(available - {v})
+            with_v = 0
+            for u in ns:
+                with_v = max(with_v, 1 + best(available - {v, u}))
+            return max(without, with_v)
+        return 0
+
+    return best(frozenset(range(1, G.n + 1)))
 
 PETERSEN = Graph(
     10,

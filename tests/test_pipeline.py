@@ -84,6 +84,16 @@ def test_host_independent_bad_parameters_raise_before_any_stage(monkeypatch, t, 
         run_pipeline(complete_3graph(12), t, Fraction(1, 20), eps, samples, seed=0)
 
 
+@pytest.mark.parametrize("d", [Fraction(-1), Fraction(-1, 20), Fraction(21, 20), Fraction(2)], ids=str)
+def test_density_threshold_outside_unit_interval_raises_before_any_stage(monkeypatch, d):
+    def unreachable(*args):
+        raise AssertionError("the input stage ran")
+
+    monkeypatch.setattr(pipeline, "density", unreachable)
+    with pytest.raises(InvalidArgumentError):
+        run_pipeline(complete_3graph(12), 3, d, 0.25, 10, seed=0)
+
+
 def test_invariant_violation_propagates_with_stage_name(monkeypatch):
     def broken(H):
         raise InvariantViolation("support left the component", witness=(1, 2, 3))

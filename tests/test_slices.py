@@ -18,8 +18,6 @@ from tightcycle.slices import (
     good_clusters,
     irregularity_witness,
     reduced_degree_check,
-    mean_relative_degree,
-    relative_degree_vertex,
     relative_density,
     sub_polyad_density,
 )
@@ -87,14 +85,24 @@ def test_relative_density_matches_exhaustive_count():
     assert got == Fraction(count, 64)
 
 
+def weighted_degree(R, Y):
+    """deg(Y; R): Y's density sum over C(t-1, 2), from the one-pass tallies."""
+    return slices._cluster_tallies(R)[0][Y] / comb(R.t - 1, 2)
+
+
+def zeta(R, Y):
+    """Share of the triples containing Y that are labeled irregular."""
+    return Fraction(slices._cluster_tallies(R)[2][Y], comb(R.t - 1, 2))
+
+
 def test_relative_degree_weighted():
     def make(dval):
         ds = {X: dval for X in itertools.combinations(range(6), 3)}
         reg = {X: True for X in ds}
         return ReducedGraph(t=6, m=1, densities=ds, regular=reg, d_threshold=Fraction(0))
 
-    assert make(Fraction(1)).relative_degree_weighted(0) == 1
-    assert make(Fraction(1, 2)).relative_degree_weighted(3) == Fraction(1, 2)
+    assert weighted_degree(make(Fraction(1)), 0) == 1
+    assert weighted_degree(make(Fraction(1, 2)), 3) == Fraction(1, 2)
 
     rng = random.Random(8)
     ds = {X: Fraction(rng.randint(0, 16), 16) for X in itertools.combinations(range(6), 3)}
@@ -102,7 +110,7 @@ def test_relative_degree_weighted():
     R = ReducedGraph(t=6, m=1, densities=ds, regular=reg, d_threshold=Fraction(1, 8))
     for Y in range(6):
         direct = sum(d for X, d in ds.items() if Y in X)
-        assert R.relative_degree_weighted(Y) == direct / comb(5, 2)
+        assert weighted_degree(R, Y) == direct / comb(5, 2)
 
 
 def test_zeta_counts():
@@ -112,14 +120,14 @@ def test_zeta_counts():
     all_regular = ReducedGraph(
         t=6, m=1, densities=ds, regular={X: True for X in triples}, d_threshold=Fraction(0)
     )
-    assert all_regular.zeta(0) == 0
+    assert zeta(all_regular, 0) == 0
 
     targeted = ReducedGraph(
         t=6, m=1, densities=ds,
         regular={X: 0 not in X for X in triples},
         d_threshold=Fraction(0),
     )
-    assert targeted.zeta(0) == 1
+    assert zeta(targeted, 0) == 1
 
     three_bad = set(list(X for X in triples if 0 in X)[:3])
     R = ReducedGraph(
@@ -127,7 +135,7 @@ def test_zeta_counts():
         regular={X: X not in three_bad for X in triples},
         d_threshold=Fraction(0),
     )
-    assert R.zeta(0) == Fraction(3, 10)
+    assert zeta(R, 0) == Fraction(3, 10)
 
 
 def test_reduced_degree_trivial_configurations():
@@ -159,6 +167,32 @@ def test_reduced_degree_random_configurations():
             assert rep.ok, (trial, rep)
 
 
+def test_reduced_degree_check_matches_the_definitions():
+    # Each cluster's lhs and rhs straight from the definitions, one scan of
+    # the triples per quantity and cluster, against the one-pass tallies.
+    rng = random.Random(2024)
+    for trial in range(400):
+        t = rng.randint(3, 9)
+        triples = list(itertools.combinations(range(t), 3))
+        dens = rng.choice(((1,), (4,), (64,), (97,), (3, 64, 97)))
+        ds = {}
+        for X in triples:
+            q = rng.choice(dens)
+            ds[X] = Fraction(rng.randint(0, q), q)
+        reg = {X: rng.random() < rng.choice((0.0, 0.5, 0.9, 1.0)) for X in triples}
+        d = rng.choice((Fraction(0), Fraction(1, 8), Fraction(rng.randint(0, 64), 64), Fraction(1)))
+        R = ReducedGraph(t=t, m=1, densities=ds, regular=reg, d_threshold=d)
+        pairs = comb(t - 1, 2)
+        expected = []
+        for Y in range(t):
+            kept = sum(1 for X in triples if Y in X and reg[X] and ds[X] >= d)
+            weighted = Fraction(sum(dv for X, dv in ds.items() if Y in X), pairs)
+            irregular = Fraction(sum(1 for X in triples if Y in X and not reg[X]), pairs)
+            lhs, rhs = Fraction(kept, pairs), weighted - d - irregular
+            expected.append(slices.ClusterDegreeReport(Y, lhs, rhs, lhs >= rhs))
+        assert reduced_degree_check(R) == expected, trial
+
+
 def test_witness_never_found_on_uniform_hosts():
     clusters = ((1, 2, 3, 4), (5, 6, 7, 8), (9, 10, 11, 12))
     S = WeakSlice(n=12, clusters=clusters, deleted_vertices=())
@@ -185,6 +219,18 @@ def test_witness_found_on_planted_halves():
     again = sub_polyad_density(ClusterIndex(H, S), w.X, w.subsets)
     assert again == w.observed_density
     assert abs(float(again) - float(d)) > 0.1
+
+
+def test_witness_deviation_is_compared_exactly():
+    # The sub-polyad ((2, 3), (4, 5, 6), (8, 9)) has density 7/12, exactly
+    # 1/4 from the reference 1/3, so it does not deviate by more than eps
+    # 1/4, although float(7/12) - float(1/3) is 0.25000000000000006.
+    H = Hypergraph3(9, [(1, 4, 7), (1, 6, 9), (2, 4, 9), (2, 5, 9), (2, 6, 8),
+                        (3, 4, 8), (3, 4, 9), (3, 5, 8), (3, 5, 9)])
+    S = WeakSlice(n=9, clusters=((1, 2, 3), (4, 5, 6), (7, 8, 9)), deleted_vertices=())
+    index = ClusterIndex(H, S)
+    assert sub_polyad_density(index, (0, 1, 2), ((2, 3), (4, 5, 6), (8, 9))) == Fraction(7, 12)
+    assert irregularity_witness(index, (0, 1, 2), Fraction(1, 3), 0.25, 40, 0) is None
 
 
 def test_good_clusters_trim_and_threshold():
@@ -219,9 +265,14 @@ def test_reduced_graph_json_colex_order():
     assert payload["triples"][0]["d"] == "1"
 
 
+def mean_relative_degree(H, vertices):
+    """Mean over the vertices of deg(v) / C(n-1, 2)."""
+    return Fraction(sum(H.degrees[v] for v in vertices), len(vertices) * comb(H.n - 1, 2))
+
+
 def test_relative_degree_vertex_and_inheritance():
     H = complete_3graph(10)
-    assert relative_degree_vertex(H, 1) == 1
+    assert mean_relative_degree(H, [1]) == 1
     assert mean_relative_degree(H, [1, 2, 3]) == 1
 
     # statistical degree inheritance: weighted reduced degree tracks the
@@ -236,12 +287,22 @@ def test_relative_degree_vertex_and_inheritance():
         R = build_reduced_graph(H, S, Fraction(1, 20), 0.3, 1, seed=i)
         for Y in range(6):
             gap = abs(
-                float(R.relative_degree_weighted(Y))
+                float(weighted_degree(R, Y))
                 - float(mean_relative_degree(H, S.clusters[Y]))
             )
             total_gap += gap
             count += 1
     assert total_gap / count < 0.1
+
+
+def test_build_reduced_graph_rejects_a_threshold_outside_the_unit_interval():
+    H = complete_3graph(9)
+    S = build_weak_slice(H, 3, seed=1)
+    for d in (Fraction(0), Fraction(1)):
+        assert build_reduced_graph(H, S, d, 0.25, 10, seed=1).d_threshold == d
+    for d in (Fraction(-1, 20), Fraction(21, 20)):
+        with pytest.raises(InvalidArgumentError):
+            build_reduced_graph(H, S, d, 0.25, 10, seed=1)
 
 
 def test_build_reduced_graph_calls_the_public_queries(monkeypatch):

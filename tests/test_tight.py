@@ -1,18 +1,48 @@
 import random
+from collections import deque
 
 import pytest
 
 from tightcycle.errors import InvalidArgumentError
 from tightcycle.generators import extremal, random_3graph
-from tightcycle.hypergraph import Hypergraph3, complete_3graph
+from tightcycle.hypergraph import Edge3, Hypergraph3, complete_3graph
 from tightcycle.matching import connected_components, largest_component
-from tightcycle.tight import (
-    component_star,
-    is_tightly_connected,
-    naive_tight_components,
-    tight_components,
-    tight_walk,
-)
+from tightcycle.tight import component_star, is_tightly_connected, tight_components
+
+from test_tight_equivalence import naive_tight_components
+
+
+def tight_walk(H: Hypergraph3, start: Edge3, goal: Edge3) -> list[Edge3] | None:
+    """A shortest tight walk from start to goal as a list of edges, or None.
+
+    Consecutive edges of the returned walk share exactly two vertices.  A
+    breadth-first witness check of tight_components: two edges are in the
+    same component iff a walk exists.
+    """
+    start = tuple(sorted(start))  # type: ignore[assignment]
+    goal = tuple(sorted(goal))  # type: ignore[assignment]
+    if start not in H.edge_set or goal not in H.edge_set:
+        raise InvalidArgumentError("walk endpoints must be edges of H")
+    if start == goal:
+        return [start]
+    pidx = H.pair_index
+    parent: dict[Edge3, Edge3] = {start: start}
+    queue = deque([start])
+    while queue:
+        e = queue.popleft()
+        a, b, c = e
+        for pair in ((a, b), (a, c), (b, c)):
+            for nxt in pidx[pair]:
+                if nxt not in parent:
+                    parent[nxt] = e
+                    if nxt == goal:
+                        walk = [nxt]
+                        while walk[-1] != start:
+                            walk.append(parent[walk[-1]])
+                        walk.reverse()
+                        return walk
+                    queue.append(nxt)
+    return None
 
 
 def test_two_edges_sharing_pair():

@@ -3,18 +3,20 @@
 `_edge_union_find` is the earlier `tight.tight_components`, kept here as the
 oracle: a union-find over edge indices that joins the edges of each
 `pair_index` group.  On a seeded corpus the current labeling must be `==`
-to it and to `naive_tight_components`, with the same dict order (canonical
-edge order), so every caller sees the same component ids.
+to it and to `naive_tight_components`, a quadratic pairwise BFS, with the
+same dict order (canonical edge order), so every caller sees the same
+component ids.  `test_tight.py` imports `naive_tight_components` from here.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from collections import deque
 
 from tightcycle.generators import extremal
 from tightcycle.hypergraph import Edge3, Hypergraph3
-from tightcycle.tight import TightComponentLabeling, naive_tight_components, tight_components
+from tightcycle.tight import TightComponentLabeling, tight_components
 
 
 class _UnionFind:
@@ -60,6 +62,38 @@ def _edge_union_find(H: Hypergraph3) -> TightComponentLabeling:
         cid = root_to_id[r]
         labels[e] = cid
         sizes[cid] += 1
+    return TightComponentLabeling(labels, len(sizes), tuple(sizes))
+
+
+def naive_tight_components(H: Hypergraph3) -> TightComponentLabeling:
+    """Quadratic pairwise-BFS labeling; test oracle for tight_components."""
+    edges = list(H.edges)
+    m = len(edges)
+    adj: list[list[int]] = [[] for _ in range(m)]
+    for i in range(m):
+        si = set(edges[i])
+        for j in range(i + 1, m):
+            if len(si & set(edges[j])) == 2:
+                adj[i].append(j)
+                adj[j].append(i)
+    labels: dict[Edge3, int] = {}
+    sizes: list[int] = []
+    seen = [False] * m
+    for i in range(m):
+        if seen[i]:
+            continue
+        cid = len(sizes)
+        sizes.append(0)
+        queue = deque([i])
+        seen[i] = True
+        while queue:
+            k = queue.popleft()
+            labels[edges[k]] = cid
+            sizes[cid] += 1
+            for j in adj[k]:
+                if not seen[j]:
+                    seen[j] = True
+                    queue.append(j)
     return TightComponentLabeling(labels, len(sizes), tuple(sizes))
 
 
