@@ -126,9 +126,7 @@ def _run_trials(name: str, trials: int, jobs: int, trial, stats: dict) -> Campai
 
 
 def _random_dense_graph(n: int, rng: random.Random) -> Graph:
-    lo = 5 * comb(n, 2) // 9 + 1
-    hi = comb(n, 2)
-    e = rng.randint(lo, hi)
+    e = rng.randint(min_degree_bound(n), comb(n, 2))
     pairs = rng.sample(list(itertools.combinations(range(1, n + 1), 2)), e)
     return Graph(n, pairs)
 
@@ -224,11 +222,11 @@ def _farkas_trial(i: int, seed: int) -> TrialOutcome:
         return [], "skipped", digest  # nothing to decide
     lab = tight_components(H)
     cid = _largest_tight_component(lab)
-    outcome = perfect_or_certificate(H, cid, lab)
+    outcome = perfect_or_certificate(H, cid)
     if isinstance(outcome, FractionalMatching):
         kind = "perfect"
         try:
-            outcome.validate(H, lab)
+            outcome.validate(H)
             if 3 * outcome.total_weight != n:
                 raise InvariantViolation(f"claimed perfect but weight {outcome.total_weight}")
         except InvariantViolation as exc:
@@ -257,11 +255,10 @@ def run_farkas_campaign(trials: int, seed: int, jobs: int = 1) -> CampaignResult
 
     # pinned extremal reference point
     inst = extremal(9, 2)
-    lab = tight_components(inst.hypergraph)
-    opt = max_fractional_matching(inst.hypergraph, 0, lab)
+    opt = max_fractional_matching(inst.hypergraph, 0)
     if opt.total_weight != 2:
         result.record({"problem": f"extremal(9,2) optimum {opt.total_weight} != 2"})
-    outcome = perfect_or_certificate(inst.hypergraph, 0, lab)
+    outcome = perfect_or_certificate(inst.hypergraph, 0)
     if not isinstance(outcome, FarkasCertificate):
         result.record({"problem": "extremal(9,2) did not produce a certificate"})
     return result
@@ -396,11 +393,7 @@ def run_extremal_bound_campaign(max_n: int) -> CampaignResult:
     for n in range(3, max_n + 1):
         for a in range(1, n + 1):
             checked += 1
-            inst = extremal(n, a)  # constructor asserts degree formula
-            b = n - a
-            predicted = comb(n - 1, 2) - (comb(b - 1, 2) if b >= 1 else 0)
-            if inst.predicted_min_degree != predicted:
-                result.record({"n": n, "a": a, "problem": "formula mismatch"})
+            inst = extremal(n, a)  # raises InvariantViolation unless the degree formula holds
             if n < 4:
                 continue
             expected = 0 if a == 1 else min(3 * a, n)  # 0: no cycle at all

@@ -7,7 +7,8 @@ verification verdict is false, 2 on usage, parse, or precondition errors,
 input).
 '-' names standard input for file arguments, so generators chain into
 consumers.  The TCL_SEED environment variable supplies a seed when --seed
-is not given.
+is not given.  --d, --eps and --eta are read exactly, as rationals, and
+JSON reports are streamed to standard output.
 """
 
 from __future__ import annotations
@@ -73,7 +74,9 @@ def _default_seed(value: int | None) -> int:
 
 def _emit(payload: dict, fmt: str) -> None:
     if fmt == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        # streamed: the indented text is never held as one string
+        json.dump(payload, sys.stdout, indent=2, sort_keys=True)
+        print()
     elif fmt == "text":
         for key, value in _flatten(payload):
             print(f"{key}: {value}")
@@ -96,12 +99,12 @@ def _flatten(obj, prefix: str = ""):
         yield prefix.rstrip("."), obj
 
 
-def _parse_threshold(text: str) -> Fraction:
+def _parse_exact(text: str, option: str) -> Fraction:
     """A rational ("1/20") or a decimal ("0.05", "5e-2"), read exactly."""
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise TclError(f"density threshold {text!r} is not a rational or a decimal")
+        raise TclError(f"{option} {text!r} is not a rational or a decimal")
 
 
 def cmd_info(args) -> int:
@@ -216,7 +219,10 @@ def cmd_validate(args) -> int:
 def cmd_extremal(args) -> int:
     if args.eta is None and args.a is None:
         raise TclError("extremal needs --a or --eta")
-    inst = extremal_from_eta(args.n, args.eta) if args.eta is not None else extremal(args.n, args.a)
+    if args.eta is not None:
+        inst = extremal_from_eta(args.n, _parse_exact(args.eta, "--eta"))
+    else:
+        inst = extremal(args.n, args.a)
     print(provenance_comment("extremal", n=args.n, a=len(inst.a_side)))
     sys.stdout.write(write_hypergraph(inst.hypergraph))
     return EXIT_OK
@@ -251,7 +257,8 @@ def cmd_reduce(args) -> int:
     seed = _default_seed(args.seed)
     S = build_weak_slice(H, args.t, seed)
     # seeded as the reduce stage of `tcl pipeline --seed`
-    R = build_reduced_graph(H, S, _parse_threshold(args.d), args.eps, args.samples, derive_seed(seed, 1))
+    d, eps = _parse_exact(args.d, "--d"), _parse_exact(args.eps, "--eps")
+    R = build_reduced_graph(H, S, d, eps, args.samples, derive_seed(seed, 1))
     _emit(R.to_json_dict(), args.format)
     return EXIT_OK
 
@@ -259,7 +266,8 @@ def cmd_reduce(args) -> int:
 def cmd_pipeline(args) -> int:
     H = read_hypergraph(_read_source(args.file))
     seed = _default_seed(args.seed)
-    report = run_pipeline(H, args.t, _parse_threshold(args.d), args.eps, args.samples, seed)
+    d, eps = _parse_exact(args.d, "--d"), _parse_exact(args.eps, "--eps")
+    report = run_pipeline(H, args.t, d, eps, args.samples, seed)
     if args.canonical:
         print(report.canonical_json())
     else:
@@ -272,9 +280,11 @@ def _verify_erdos_gallai(args, seed: int):
     if result.passed:
         rnd = campaigns.run_erdos_gallai_random(args.trials, seed, max_n=args.max_n, jobs=args.jobs)
         result.trials += rnd.trials
-        result.failures.extend(rnd.failures)
-        result.stats.update({"random_trials": rnd.trials,
-                             "instances_sha256": rnd.stats["instances_sha256"]})
+        for failure in rnd.failures:
+            result.record(failure)
+        result.stats.update(random_trials=rnd.trials, instances_sha256=rnd.stats["instances_sha256"])
+        if rnd.stats.get("failures_truncated"):
+            result.stats["failures_truncated"] = True
     return result
 
 
@@ -382,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("extremal", cmd_extremal, "emit the extremal instance as .3g", report=False)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--a", type=int)
-    p.add_argument("--eta", type=float, help="choose a from an eta value instead of --a")
+    p.add_argument("--eta", help="choose a from an eta value instead of --a (read exactly)")
 
     p = add("random", cmd_random, "emit a random .3g (optionally degree-conditioned)", report=False)
     p.add_argument("--n", type=int, required=True)
@@ -400,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--t", type=int, default=DEFAULT_T)
     p.add_argument("--d", default=str(DEFAULT_D), help="density threshold (rational or decimal, read exactly)")
-    p.add_argument("--eps", type=float, default=DEFAULT_EPS)
+    p.add_argument("--eps", default=str(DEFAULT_EPS), help="regularity eps (rational or decimal, read exactly)")
     p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
     p.add_argument("--seed", type=int)
 
@@ -408,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--t", type=int, default=DEFAULT_T)
     p.add_argument("--d", default=str(DEFAULT_D))
-    p.add_argument("--eps", type=float, default=DEFAULT_EPS)
+    p.add_argument("--eps", default=str(DEFAULT_EPS))
     p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
     p.add_argument("--seed", type=int)
     p.add_argument("--canonical", action="store_true",

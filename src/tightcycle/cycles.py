@@ -32,6 +32,7 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .errors import InvalidArgumentError, InvariantViolation, SizeLimitError
 from .fractional import FractionalMatching
@@ -46,11 +47,11 @@ DP_MAX_N = 22
 MIN_CYCLE_LENGTH = 4
 
 # Matching-guided heuristic: step budgets of the cluster-walk planner and of
-# the vertex backtracking per restart, the scales tried, largest first, on
-# the per-cluster targets, and the seeded restarts per scale.
+# the vertex backtracking per restart, the scales (exact tenths) tried,
+# largest first, on the per-cluster targets, and the seeded restarts per scale.
 PLAN_BUDGET = 200_000
 VERTEX_BUDGET = 400_000
-QUOTA_SCALES = (1.0, 0.9, 0.8, 0.7, 0.6, 0.5, 0.4)
+QUOTA_SCALES = tuple(Fraction(k, 10) for k in range(10, 3, -1))
 RESTARTS = 8
 
 
@@ -447,9 +448,9 @@ def matching_guided_cycle(
                     cycle=cycle,
                     coverage=coverage(order),
                     targets=targets,
-                    scale_used=scale,
+                    scale_used=float(scale),
                     longest_path=prefix,
-                    detail=f"cycle of length {cycle.length} at quota scale {scale}",
+                    detail=f"cycle of length {cycle.length} at quota scale {float(scale)}",
                 )
     return CycleSearchResult(
         cycle=None,

@@ -10,7 +10,8 @@ when it fails there is a vector a with a.1 > 0 and sum_{v in e} a_v <= 0
 for every admissible edge.  We recover such a vector from the optimal
 dual y of the maximization LP as a = 1 - 3y and re-verify it in exact
 arithmetic before returning it.  Every optimum comes from the exact
-simplex in `lp`, at every n, so no result here carries a tolerance.
+simplex in `lp`, at every n, so no result here carries a tolerance.  A
+component id refers to the labeling that tight_components keeps on H.
 """
 
 from __future__ import annotations
@@ -21,15 +22,12 @@ from math import comb, lcm
 from typing import Iterable, Union
 
 from .errors import InvalidArgumentError, InvariantViolation, PreconditionError
+from .generators import min_degree_bound
 from .hypergraph import Edge3, Hypergraph3
 from .lp import solve_matching_lp
+# perfbench/spans.py traces max_matching and component_star here
 from .matching import largest_component, max_matching  # noqa: F401
-from .tight import (  # noqa: F401  perfbench/spans.py traces max_matching and component_star here
-    TightComponentLabeling,
-    _star_edges,
-    component_star,
-    tight_components,
-)
+from .tight import _star_edges, component_star, tight_components  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -52,7 +50,7 @@ class FractionalMatching:
                 loads[v] += w
         return loads
 
-    def validate(self, H: Hypergraph3, labeling: TightComponentLabeling | None = None) -> None:
+    def validate(self, H: Hypergraph3) -> None:
         """Exact feasibility check against the host hypergraph.
 
         Raises InvariantViolation on the first broken constraint; intended
@@ -73,9 +71,9 @@ class FractionalMatching:
             if load > 1:
                 raise InvariantViolation(f"vertex {v} overloaded: {load}", witness=v)
         if self.support_component is not None:
-            lab = labeling or tight_components(H)
+            labels = tight_components(H).labels
             for e in self.weights:
-                if lab.labels[e] != self.support_component:
+                if labels[e] != self.support_component:
                     raise InvariantViolation(
                         f"support edge {e} outside component {self.support_component}",
                         witness=e,
@@ -122,17 +120,14 @@ class FarkasCertificate:
 
 
 def _optimum(
-    H: Hypergraph3,
-    restrict_to: int | None,
-    labeling: TightComponentLabeling | None,
-) -> tuple[FractionalMatching, tuple[Fraction, ...], list[Edge3], TightComponentLabeling | None]:
+    H: Hypergraph3, restrict_to: int | None
+) -> tuple[FractionalMatching, tuple[Fraction, ...], list[Edge3]]:
     """Solve the LP over H's edges, or over one tight component's, and
-    return the optimum as a matching with the LP's dual, the admissible
-    edges and the labeling used (None when unrestricted)."""
+    return the optimum as a matching with the LP's dual and the admissible
+    edges."""
     edges = list(H.edges)
-    lab = labeling
     if restrict_to is not None:
-        lab = labeling or tight_components(H)
+        lab = tight_components(H)
         if not 0 <= restrict_to < lab.component_count:
             raise InvalidArgumentError(
                 f"component id {restrict_to} out of range 0..{lab.component_count - 1}"
@@ -145,35 +140,27 @@ def _optimum(
         total_weight=res.value,
         support_component=restrict_to,
     )
-    return fm, res.dual, edges, lab
+    return fm, res.dual, edges
 
 
-def max_fractional_matching(
-    H: Hypergraph3,
-    restrict_to: int | None = None,
-    labeling: TightComponentLabeling | None = None,
-) -> FractionalMatching:
+def max_fractional_matching(H: Hypergraph3, restrict_to: int | None = None) -> FractionalMatching:
     """Maximum-total-weight fractional matching, optionally restricted to one
     tight component, as exact rationals at every n."""
-    fm, _, _, lab = _optimum(H, restrict_to, labeling)
-    fm.validate(H, lab)
+    fm, _, _ = _optimum(H, restrict_to)
+    fm.validate(H)
     return fm
 
 
-def perfect_or_certificate(
-    H: Hypergraph3,
-    restrict_to: int,
-    labeling: TightComponentLabeling | None = None,
-) -> Union[FractionalMatching, FarkasCertificate]:
+def perfect_or_certificate(H: Hypergraph3, restrict_to: int) -> Union[FractionalMatching, FarkasCertificate]:
     """Decide perfect fractional matchability within one tight component.
 
     Returns exactly one of: a perfect fractional matching (total weight
     equal to n/3, support inside the component), or a certificate that none
     exists.  Both outcomes are re-verified in exact arithmetic.
     """
-    fm, dual, edges, lab = _optimum(H, restrict_to, labeling)
+    fm, dual, edges = _optimum(H, restrict_to)
     if fm.perfect:
-        fm.validate(H, lab)
+        fm.validate(H)
         return fm
     cert = FarkasCertificate(tuple(1 - 3 * y for y in dual))
     cert.validate(edges)
@@ -206,7 +193,7 @@ def tight_perfect_fractional_matching(H: Hypergraph3) -> FracmatchResult:
     if n % 3 != 0:
         raise PreconditionError(f"need 3 | n, got n={n}")
     delta = H.min_degree(1) if n >= 1 else 0
-    if 9 * delta <= 5 * comb(n, 2):
+    if delta < min_degree_bound(n):
         raise PreconditionError(
             f"need min degree > (5/9)C({n},2) = {5 * comb(n, 2)}/9, got {delta}"
         )
@@ -235,7 +222,7 @@ def tight_perfect_fractional_matching(H: Hypergraph3) -> FracmatchResult:
             witness=star_label,
         )
 
-    outcome = perfect_or_certificate(H, star_label, labeling)
+    outcome = perfect_or_certificate(H, star_label)
     if isinstance(outcome, FarkasCertificate):
         raise InvariantViolation(
             "degree condition holds but the LP produced a certificate",

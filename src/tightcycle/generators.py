@@ -14,6 +14,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 from math import comb
 
 from .errors import GenerationError, InvalidArgumentError, InvariantViolation
@@ -70,11 +71,13 @@ def extremal(n: int, a: int) -> ExtremalInstance:
     )
 
 
-def extremal_from_eta(n: int, eta: float) -> ExtremalInstance:
-    """Thin wrapper choosing a = floor(((1-eta)n - 1)/3)."""
-    if not math.isfinite(eta):
+def extremal_from_eta(n: int, eta: Fraction | float) -> ExtremalInstance:
+    """Thin wrapper choosing a = floor(((1-eta)n - 1)/3), in exact arithmetic."""
+    try:
+        eta = Fraction(eta)
+    except (ValueError, OverflowError):  # nan, inf
         raise InvalidArgumentError(f"eta must be a finite number, got {eta}")
-    a = int(math.floor(((1 - eta) * n - 1) / 3))
+    a = math.floor(((1 - eta) * n - 1) / 3)
     return extremal(n, a)
 
 

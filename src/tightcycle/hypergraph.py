@@ -54,6 +54,7 @@ class Hypergraph3:
         self.n = n
         self._pair_index: dict[Edge2, tuple[Edge3, ...]] | None = None
         self._degrees: tuple[int, ...] | None = None
+        self._tight_labeling = None  # kept by tight.tight_components
 
     # -- basic counts -------------------------------------------------
 

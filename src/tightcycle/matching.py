@@ -5,7 +5,8 @@ graphs are arbitrary).  graphmeet_verify checks, constructively, the four
 facts that hold for the largest components of two graphs on a common vertex
 set once both are denser than 5/9: each covers more than 2n/3 vertices,
 each keeps more than (4/9)C(n,2) edges, each contains a matching of size
-n/3, and the two components share an edge.
+n/3, and the two components share an edge.  Its report holds the evidence
+only; the four verdicts are worked out from it.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from fractions import Fraction
 from math import comb
 
 from .errors import InvalidArgumentError, PreconditionError
+from .generators import min_degree_bound
 from .hypergraph import Edge2, Graph
 
 
@@ -178,8 +180,8 @@ def largest_component(G: Graph) -> tuple[frozenset[int], frozenset[Edge2]]:
 class GraphMeetReport:
     """Constructive evidence for the four dense-pair component facts.
 
-    Verdicts are recomputable from the evidence fields; alpha and beta are
-    the uncovered-vertex proportions 1 - v(C_i)/n.
+    The verdicts, and alpha and beta (the uncovered-vertex proportions
+    1 - v(C_i)/n), are worked out from the evidence fields.
     """
 
     n: int
@@ -189,12 +191,31 @@ class GraphMeetReport:
     component_edges: tuple[frozenset[Edge2], frozenset[Edge2]]
     matchings: tuple[GraphMatching, GraphMatching]
     shared_edge: Edge2 | None
-    verdict_cover: tuple[bool, bool]
-    verdict_edges: tuple[bool, bool]
-    verdict_matching: tuple[bool, bool]
-    verdict_shared: bool
-    alpha: Fraction
-    beta: Fraction
+
+    @property
+    def verdict_cover(self) -> tuple[bool, ...]:
+        return tuple(3 * len(cv) > 2 * self.n for cv in self.component_vertices)
+
+    @property
+    def verdict_edges(self) -> tuple[bool, ...]:
+        return tuple(9 * len(ce) > 4 * comb(self.n, 2) for ce in self.component_edges)
+
+    @property
+    def verdict_matching(self) -> tuple[bool, ...]:
+        # graphmeet_verify truncates a matching to n/3 edges when 3 | n
+        return tuple(self.n % 3 == 0 and m.size == self.n // 3 for m in self.matchings)
+
+    @property
+    def verdict_shared(self) -> bool:
+        return self.shared_edge is not None
+
+    @property
+    def alpha(self) -> Fraction:
+        return Fraction(self.n - len(self.component_vertices[0]), self.n)
+
+    @property
+    def beta(self) -> Fraction:
+        return Fraction(self.n - len(self.component_vertices[1]), self.n)
 
     def all_verdicts(self) -> bool:
         return (
@@ -235,36 +256,18 @@ def graphmeet_verify(G1: Graph, G2: Graph, observe: bool = False) -> GraphMeetRe
     if G1.n != G2.n:
         raise InvalidArgumentError(f"vertex counts differ: {G1.n} vs {G2.n}")
     n = G1.n
-    bound = 5 * comb(n, 2)  # compare 9*e > bound
-    pre = n % 3 == 0 and 9 * len(G1.edges) > bound and 9 * len(G2.edges) > bound
+    bound = min_degree_bound(n)
+    pre = n % 3 == 0 and len(G1.edges) >= bound and len(G2.edges) >= bound
     if not pre and not observe:
         raise PreconditionError(
             f"need 3 | n and e(G_i) > (5/9)C({n},2); got e = "
             f"{len(G1.edges)}, {len(G2.edges)}"
         )
 
-    comps = []
-    matchings = []
-    v_ok = []
-    e_ok = []
-    m_ok = []
-    for G in (G1, G2):
-        cv, ce = largest_component(G)
-        comps.append((cv, ce))
-        mm = max_matching(Graph(n, ce))
-        target = n // 3
-        if mm.size >= target and n % 3 == 0:
-            mm = mm.truncated(target)
-            m_ok.append(True)
-        else:
-            m_ok.append(False)
-        matchings.append(mm)
-        v_ok.append(3 * len(cv) > 2 * n)
-        e_ok.append(9 * len(ce) > 4 * comb(n, 2))
-
-    shared = sorted(comps[0][1] & comps[1][1])
-    shared_edge = shared[0] if shared else None
-
+    comps = [largest_component(G) for G in (G1, G2)]
+    matchings = [max_matching(Graph(n, ce)) for _, ce in comps]
+    if n % 3 == 0:  # a matching of n/3 edges is the evidence
+        matchings = [mm.truncated(n // 3) if mm.size >= n // 3 else mm for mm in matchings]
     return GraphMeetReport(
         n=n,
         precondition_met=pre,
@@ -272,13 +275,7 @@ def graphmeet_verify(G1: Graph, G2: Graph, observe: bool = False) -> GraphMeetRe
         component_vertices=(comps[0][0], comps[1][0]),
         component_edges=(comps[0][1], comps[1][1]),
         matchings=(matchings[0], matchings[1]),
-        shared_edge=shared_edge,
-        verdict_cover=(v_ok[0], v_ok[1]),
-        verdict_edges=(e_ok[0], e_ok[1]),
-        verdict_matching=(m_ok[0], m_ok[1]),
-        verdict_shared=shared_edge is not None,
-        alpha=Fraction(n - len(comps[0][0]), n) if n else Fraction(0),
-        beta=Fraction(n - len(comps[1][0]), n) if n else Fraction(0),
+        shared_edge=min(comps[0][1] & comps[1][1], default=None),
     )
 
 
@@ -330,13 +327,10 @@ def reverify_graphmeet(G1: Graph, G2: Graph, report: GraphMeetReport) -> list[st
             mm.validate(G)
         except InvalidArgumentError as exc:
             problems.append(f"G{i+1}: {exc}")
-        if report.verdict_matching[i]:
-            if mm.size != report.n // 3:
-                problems.append(f"G{i+1}: matching evidence has size {mm.size}")
-            if any(p not in ce for p in mm.pairs):
-                problems.append(f"G{i+1}: matching leaves the component")
+        if report.verdict_matching[i] and any(p not in ce for p in mm.pairs):
+            problems.append(f"G{i+1}: matching leaves the component")
     if report.verdict_shared:
         se = report.shared_edge
-        if se is None or se not in report.component_edges[0] or se not in report.component_edges[1]:
+        if se not in report.component_edges[0] or se not in report.component_edges[1]:
             problems.append("shared edge evidence invalid")
     return problems

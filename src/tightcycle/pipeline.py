@@ -9,7 +9,8 @@ skipped.  An InvariantViolation is a bug, not a negative result, so it is
 not recorded: it propagates with the stage name in its message.  t < 3,
 d outside [0, 1], eps outside (0, 1) and samples < 1 are wrong for every
 host and raise InvalidArgumentError before any stage; t > n is a recorded
-`slice` failure.
+`slice` failure.  eps is used as an exact rational (a float is read as its
+exact value) and reported as a float.
 Reports serialize to JSON with a canonical form that excludes timings, so
 pinned-seed runs are byte-identical.  Each stage draws its seed from the
 one `seed` argument (the cycle stage uses derive_seed(seed, 2)); `tcl
@@ -20,7 +21,6 @@ options.
 from __future__ import annotations
 
 import json
-import math
 import time
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -38,7 +38,7 @@ STAGES = ("input", "slice", "reduce", "good-clusters", "reduced-matching", "cycl
 # The defaults of `tcl slice`, `reduce`, `pipeline` and `verify pipeline`.
 DEFAULT_T = 6
 DEFAULT_D = Fraction(1, 20)
-DEFAULT_EPS = 0.25
+DEFAULT_EPS = Fraction(1, 4)
 DEFAULT_SAMPLES = 40
 
 
@@ -88,17 +88,17 @@ def run_pipeline(
     H: Hypergraph3,
     t: int,
     d_threshold: Fraction,
-    eps: float,
+    eps: Fraction,
     samples: int,
     seed: int,
 ) -> PipelineReport:
     _check_t(t)
     _check_d(d_threshold)
-    _check_search(eps, samples)
+    eps = _check_search(eps, samples)
     params = {
         "t": t,
         "d_threshold": str(d_threshold),
-        "eps": eps,
+        "eps": float(eps),
         "samples": samples,
         "seed": seed,
     }
@@ -128,7 +128,7 @@ def _stages(
     H: Hypergraph3,
     t: int,
     d_threshold: Fraction,
-    eps: float,
+    eps: Fraction,
     samples: int,
     seed: int,
 ) -> Iterator[dict]:
@@ -154,7 +154,7 @@ def _stages(
         "thresholded_edges": len(thresholded),
     }
 
-    good = good_clusters(R, 2 * math.sqrt(eps))
+    good = good_clusters(R, eps)
     if len(good) < 3:
         raise TclError(f"only {len(good)} good clusters; need at least 3")
     yield {"good_clusters": list(good), "count": len(good)}

@@ -9,7 +9,8 @@ of H by cluster triple in one pass, and the per-triple queries read it:
 relative_density gives exact rational densities (counts over the m^3
 crossing triples), and irregularity_witness gives "regular" labels from a
 sampled search for deviating induced sub-polyads, which is one-sided
-evidence only.  build_reduced_graph builds one index and calls those two
+evidence only; eps is an exact rational and every comparison with it is
+made in integers.  build_reduced_graph builds one index and calls those two
 queries for every triple; there is no other reduce path.  One pass over the
 triples tallies each cluster's counts for reduced_degree_check, which checks
 deg(Y; R_d) >= deg(Y; R) - d - zeta(Y) for every cluster Y: a counting fact
@@ -103,12 +104,13 @@ def _check_d(d_threshold) -> None:
         raise InvalidArgumentError(f"d must be in [0,1], got {d_threshold}")
 
 
-def _check_search(eps: float, samples: int) -> None:
-    """The witness-search parameters: eps in (0, 1) and at least one sample."""
-    if not 0 < eps < 1:
+def _check_search(eps, samples: int) -> Fraction:
+    """eps in (0, 1) and at least one sample; returns eps as an exact rational."""
+    if not 0 < eps < 1:  # also rejects nan and inf
         raise InvalidArgumentError(f"eps must be in (0,1), got {eps}")
     if samples < 1:
         raise InvalidArgumentError(f"samples must be >= 1, got {samples}")
+    return Fraction(eps)
 
 
 class ClusterIndex:
@@ -179,14 +181,14 @@ class IrregularityWitness:
     subsets: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
     observed_density: Fraction
     reference_density: Fraction | float
-    eps: float
+    eps: Fraction
 
 
 def irregularity_witness(
     index: ClusterIndex,
     X: Iterable[int],
     d,
-    eps: float,
+    eps: Fraction,
     samples: int,
     seed: int,
 ) -> IrregularityWitness | None:
@@ -194,16 +196,16 @@ def irregularity_witness(
 
     Draws `samples` random vertex-subset-induced sub-polyads Q with
     |K_3(Q)| > eps * |K_3(polyad)| and returns the first whose density
-    deviates from d by more than eps, compared exactly.  Returning None is NOT
-    a proof of regularity, only absence of sampled evidence.
+    deviates from d by more than eps.  Both tests are exact.  Returning None
+    is NOT a proof of regularity, only absence of sampled evidence.
     """
     S = index.S
     xs = _check_triple(S, X)
-    _check_search(eps, samples)
-    # |num/den - d| > eps is tested exactly: cross-multiplied over positive
-    # denominators, in integers, so no rounding can make a witness
+    eps = _check_search(eps, samples)
+    # the support and deviation tests are cross-multiplied over positive
+    # denominators, in integers, so no rounding can make or skip a witness
     dn, dd = Fraction(d).as_integer_ratio()
-    en, ed = Fraction(eps).as_integer_ratio()
+    en, ed = eps.as_integer_ratio()
     bucket = index.buckets.get(xs, ())
     rng = random.Random(seed)
     parts = [list(S.clusters[c]) for c in xs]
@@ -213,7 +215,7 @@ def irregularity_witness(
         for part in parts:
             size = rng.randint(1, len(part))
             subs.append(tuple(sorted(rng.sample(part, size))))
-        if len(subs[0]) * len(subs[1]) * len(subs[2]) <= eps * full_support:
+        if len(subs[0]) * len(subs[1]) * len(subs[2]) * ed <= en * full_support:
             continue
         num, den = _sub_count(bucket, subs)
         if abs(num * dd - dn * den) * ed > en * den * dd:
@@ -322,7 +324,7 @@ def build_reduced_graph(
     H: Hypergraph3,
     S: WeakSlice,
     d_threshold: Fraction,
-    eps: float,
+    eps: Fraction,
     samples: int,
     seed: int,
 ) -> ReducedGraph:
@@ -333,6 +335,7 @@ def build_reduced_graph(
     `samples` draws against its own measured density (one-sided evidence).
     """
     _check_d(d_threshold)
+    eps = _check_search(eps, samples)
     index = ClusterIndex(H, S)
     densities: dict[Triple, Fraction] = {}
     regular: dict[Triple, bool] = {}
@@ -345,12 +348,13 @@ def build_reduced_graph(
     )
 
 
-def good_clusters(R: ReducedGraph, threshold_fraction) -> tuple[int, ...]:
-    """Clusters lying in fewer than threshold_fraction * C(t,2) irregular
-    triples, trimmed largest-id-first to a multiple of 3."""
-    cap = threshold_fraction * comb(R.t, 2)
+def good_clusters(R: ReducedGraph, eps) -> tuple[int, ...]:
+    """Clusters in fewer than 2 sqrt(eps) C(t,2) irregular triples (compared
+    squared, in integers), trimmed largest-id-first to a multiple of 3."""
+    en, ed = Fraction(eps).as_integer_ratio()
+    cap = 4 * en * comb(R.t, 2) ** 2
     irregular = _cluster_tallies(R)[2]
-    kept = [Y for Y in range(R.t) if irregular[Y] < cap]
+    kept = [Y for Y in range(R.t) if irregular[Y] ** 2 * ed < cap]
     while len(kept) % 3 != 0:
         kept.pop()  # kept is ascending, so this removes the largest id
     return tuple(kept)

@@ -30,7 +30,10 @@ def tight_components(H: Hypergraph3) -> TightComponentLabeling:
 
     Ids are assigned by the first edge of each class in canonical edge order,
     so the labeling is deterministic; `labels` lists the edges in that order.
+    The labeling is kept on H, like its degrees; later calls return it.
     """
+    if H._tight_labeling is not None:
+        return H._tight_labeling
     n1 = H.n + 1
     edges = H.edges
     # Pair (a, b), a < b, has id a*n1 + b; an edge joins its three pairs.
@@ -58,7 +61,8 @@ def tight_components(H: Hypergraph3) -> TightComponentLabeling:
             sizes.append(0)
         labels[e] = cid
         sizes[cid] += 1
-    return TightComponentLabeling(labels, len(sizes), tuple(sizes))
+    H._tight_labeling = TightComponentLabeling(labels, len(sizes), tuple(sizes))
+    return H._tight_labeling
 
 
 def is_tightly_connected(H: Hypergraph3) -> bool:

@@ -302,6 +302,7 @@ BAD_INPUT_CASES = [
     ("pipeline-eps-negative", ["pipeline", "{file}", "--eps", "-0.5"], {}, None),
     ("pipeline-eps-above-one", ["pipeline", "{file}", "--eps", "1.5"], {}, None),
     ("pipeline-eps-nan", ["pipeline", "{file}", "--eps", "nan"], {}, None),
+    ("pipeline-eps-not-a-number", ["pipeline", "{file}", "--eps", "abc"], {}, None),
     ("pipeline-zero-samples", ["pipeline", "{file}", "--samples", "0"], {}, None),
     ("pipeline-t-two", ["pipeline", "{file}", "--t", "2"], {}, None),
     ("reduce-d-negative", ["reduce", "{file}", "--t", "3", "--d", "-1"], {}, None),
@@ -356,7 +357,7 @@ def test_decimal_and_rational_threshold_agree(capsys, tmp_path):
     import itertools
     import random
 
-    from tightcycle.cli import _parse_threshold
+    from tightcycle.cli import _parse_exact
     from tightcycle.hypergraph import Hypergraph3
     from tightcycle.slices import build_reduced_graph, build_weak_slice
 
@@ -376,7 +377,7 @@ def test_decimal_and_rational_threshold_agree(capsys, tmp_path):
     report = json.loads(outs[0])
     assert report["d_threshold"] == "1/20"
     assert report["triples"] == [{"X": [0, 1, 2], "d": "1/20", "regular": True}]
-    R = build_reduced_graph(H, S, _parse_threshold("0.05"), 0.25, 40, 5)
+    R = build_reduced_graph(H, S, _parse_exact("0.05", "--d"), 0.25, 40, 5)
     assert R.thresholded_edges() == [(0, 1, 2)]
 
 
@@ -403,3 +404,39 @@ def test_pipeline_internal_failure_exits_3(capsys, tmp_path, monkeypatch):
     assert code == 3
     assert out == ""
     assert err == "internal error: stage reduced-matching: support left the component\n"
+
+
+def test_eps_is_read_exactly(capsys, tmp_path):
+    path = tmp_path / "k12.3g"
+    path.write_text(write_hypergraph(complete_3graph(12)))
+    outs = []
+    for eps in ("1/4", "0.25"):
+        code, out, _ = run_cli(capsys, "pipeline", str(path), "--t", "6", "--seed", "1",
+                               "--eps", eps, "--canonical")
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["parameters"]["eps"] == 0.25
+
+
+def test_eta_is_read_exactly(capsys):
+    # a = floor(((1 - eta) n - 1) / 3) = floor((22 - 1) / 3) = 7 at n 50, eta 0.56;
+    # the float 0.56 lies just above 14/25 and gives 6
+    for eta in ("0.56", "14/25"):
+        code, out, _ = run_cli(capsys, "extremal", "--n", "50", "--eta", eta)
+        assert code == 0
+        assert out.splitlines()[0] == "# generator: extremal a=7 n=50"
+
+
+def test_verify_erdos_gallai_keeps_the_truncation_flag(capsys, monkeypatch):
+    from tightcycle import campaigns
+    from tightcycle.matching import GraphMatching
+
+    monkeypatch.setattr(campaigns, "max_matching", lambda G: GraphMatching(()))
+    argv = ("--trials", "200", "--exhaustive-n", "3", "--seed", "1")
+    code, out, _ = run_cli(capsys, "verify", "erdos-gallai", *argv)
+    assert code == 1
+    report = json.loads(out)
+    assert len(report["failures"]) == campaigns.MAX_RECORDED_FAILURES
+    assert report["stats"]["failures_truncated"] is True
+    assert campaigns.run_erdos_gallai_random(200, 1, 12).stats["failures_truncated"] is True

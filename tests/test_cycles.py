@@ -1,9 +1,11 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from tightcycle.cycles import (
+    QUOTA_SCALES,
     brute_force_longest_cycle,
     longest_tight_cycle,
     matching_guided_cycle,
@@ -188,3 +190,9 @@ def test_failure_reports_longest_path():
     res = matching_guided_cycle(sparse_host, S, R, M, seed=0)
     assert not res.success and res.cycle is None
     assert len(res.longest_path) <= 2
+
+
+def test_quota_scales_are_exact_tenths():
+    # a target of 90 at scale 7/10 is 63 vertices; the float 0.7 gives 62
+    assert [math.floor(90 * s) for s in QUOTA_SCALES] == [90, 81, 72, 63, 54, 45, 36]
+    assert [float(s) for s in QUOTA_SCALES] == [1.0, 0.9, 0.8, 0.7, 0.6, 0.5, 0.4]

@@ -118,7 +118,7 @@ def test_certificate_validate_matches_fraction_form():
             continue
         lab = tight_components(H)
         cid = max(range(lab.component_count), key=lambda c: lab.component_sizes[c])
-        out = perfect_or_certificate(H, cid, lab)
+        out = perfect_or_certificate(H, cid)
         if isinstance(out, FarkasCertificate):
             certs.append((out.a, [e for e in H.edges if lab.labels[e] == cid]))
     verdicts = Counter()
@@ -149,11 +149,11 @@ def test_disjunction_on_mixed_instances():
             continue
         lab = tight_components(H)
         cid = max(range(lab.component_count), key=lambda c: lab.component_sizes[c])
-        out = perfect_or_certificate(H, cid, lab)
+        out = perfect_or_certificate(H, cid)
         if isinstance(out, FractionalMatching):
             seen["perfect"] += 1
             assert out.perfect
-            out.validate(H, lab)
+            out.validate(H)
         else:
             seen["certificate"] += 1
             out.validate([e for e in H.edges if lab.labels[e] == cid])
@@ -238,10 +238,10 @@ def test_above_thirty_corpus_is_exact_and_matches_highs(name):
     lab = tight_components(H)
     cid = max(range(lab.component_count), key=lambda c: (lab.component_sizes[c], -c))
     restricted = [e for e in H.edges if lab.labels[e] == cid]
-    out = perfect_or_certificate(H, cid, lab)
+    out = perfect_or_certificate(H, cid)
     reference = _highs_optimum(H.n, restricted)
     if isinstance(out, FractionalMatching):
-        out.validate(H, lab)
+        out.validate(H)
         assert out.perfect and abs(reference - H.n / 3) <= 1e-6
     else:
         out.validate(restricted)

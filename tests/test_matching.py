@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -6,8 +7,10 @@ from math import comb
 import pytest
 
 from tightcycle.errors import InvalidArgumentError, PreconditionError
+from tightcycle.generators import min_degree_bound
 from tightcycle.hypergraph import Graph, complete_graph
 from tightcycle.matching import (
+    GraphMeetReport,
     erdos_gallai_threshold,
     graphmeet_verify,
     largest_component,
@@ -214,3 +217,40 @@ def test_union_find_components_match_connected_components():
         comps = connected_components(G)
         assert set(_union_find_components(G)) == set(comps)
         assert len(comps) == len(_union_find_components(G))
+
+
+def _stored_verdicts(G1, G2):
+    """The verdicts, alpha and beta as graphmeet_verify once stored them,
+    worked out from the two graphs."""
+    n = G1.n
+    comps = [largest_component(G) for G in (G1, G2)]
+    sizes = [max_matching(Graph(n, ce)).size for _, ce in comps]
+    shared = comps[0][1] & comps[1][1]
+    return {
+        "verdict_cover": tuple(3 * len(cv) > 2 * n for cv, _ in comps),
+        "verdict_edges": tuple(9 * len(ce) > 4 * comb(n, 2) for _, ce in comps),
+        "verdict_matching": tuple(size >= n // 3 and n % 3 == 0 for size in sizes),
+        "verdict_shared": bool(shared),
+        "alpha": Fraction(n - len(comps[0][0]), n),
+        "beta": Fraction(n - len(comps[1][0]), n),
+    }
+
+
+def test_graphmeet_verdicts_are_worked_out_from_the_evidence():
+    assert [f.name for f in dataclasses.fields(GraphMeetReport)] == [
+        "n", "precondition_met", "edge_counts", "component_vertices",
+        "component_edges", "matchings", "shared_edge"]
+    rng = random.Random(12)
+    seen = {"dense": 0, "observed": 0, "n not divisible by 3": 0, "false verdict": 0}
+    for n in (7, 8, 9, 10, 11, 12):
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        for _ in range(40):
+            lo = min_degree_bound(n) if n % 3 == 0 and rng.random() < 0.5 else n - 1
+            G1, G2 = (Graph(n, rng.sample(pairs, rng.randint(lo, len(pairs)))) for _ in range(2))
+            report = graphmeet_verify(G1, G2, observe=True)
+            stored = _stored_verdicts(G1, G2)
+            assert {k: getattr(report, k) for k in stored} == stored
+            seen["dense" if report.precondition_met else "observed"] += 1
+            seen["n not divisible by 3"] += n % 3 != 0
+            seen["false verdict"] += not report.all_verdicts()
+    assert all(seen.values()), seen

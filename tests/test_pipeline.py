@@ -103,3 +103,11 @@ def test_invariant_violation_propagates_with_stage_name(monkeypatch):
         run_pipeline(complete_3graph(12), 3, Fraction(1, 20), 0.25, 10, seed=1)
     assert str(exc.value) == "stage reduced-matching: support left the component"
     assert exc.value.witness == (1, 2, 3)
+
+
+def test_exact_eps_gives_the_bytes_of_the_float():
+    H = complete_3graph(12)
+    for t, ok in ((3, False), (6, True)):  # t 3 fails at reduced-matching
+        exact = run_pipeline(H, t, Fraction(1, 20), Fraction(1, 4), 10, 0)
+        assert exact.ok == ok and exact.parameters["eps"] == 0.25
+        assert exact.canonical_json() == run_pipeline(H, t, Fraction(1, 20), 0.25, 10, 0).canonical_json()

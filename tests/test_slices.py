@@ -239,7 +239,7 @@ def test_good_clusters_trim_and_threshold():
     all_ok = ReducedGraph(
         t=7, m=1, densities=ds, regular={X: True for X in triples}, d_threshold=Fraction(0)
     )
-    kept = good_clusters(all_ok, Fraction(1, 10))
+    kept = good_clusters(all_ok, Fraction(1, 400))  # fewer than C(7,2)/10 irregular triples
     assert kept == (0, 1, 2, 3, 4, 5)  # trimmed from 7 to a multiple of 3
 
     # cluster 6 sits in many irregular triples and gets dropped first
@@ -248,7 +248,7 @@ def test_good_clusters_trim_and_threshold():
         regular={X: 6 not in X for X in triples},
         d_threshold=Fraction(0),
     )
-    kept = good_clusters(bad6, Fraction(1, 3))
+    kept = good_clusters(bad6, Fraction(1, 36))  # fewer than C(7,2)/3
     assert 6 not in kept and len(kept) % 3 == 0
 
     none_allowed = good_clusters(bad6, 0)

@@ -185,3 +185,10 @@ def test_tight_walk_agrees_with_labels():
         for f in H.edges[:5]:
             walk = tight_walk(H, e, f)
             assert (walk is not None) == (lab.labels[e] == lab.labels[f])
+
+
+def test_labeling_is_kept_on_the_hypergraph():
+    H = random_3graph(10, 0.3, 4)
+    lab = tight_components(H)
+    assert tight_components(H) is lab
+    assert tight_components(Hypergraph3(H.n, H.edges)) == lab
