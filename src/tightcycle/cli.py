@@ -99,6 +99,22 @@ def _flatten(obj, prefix: str = ""):
         yield prefix.rstrip("."), obj
 
 
+EXACT_OPTIONS = ("--d", "--eps", "--eta")
+
+
+def _attach_exact_values(argv: list[str]) -> list[str]:
+    """Write `--eps -1/2` as `--eps=-1/2`.  argparse takes a value that starts
+    with "-" and is not a plain decimal for an option, so without this a
+    negative rational never reaches _parse_exact and the range checks."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in EXACT_OPTIONS and arg.startswith("-") and not arg.startswith("--"):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def _parse_exact(text: str, option: str) -> Fraction:
     """A rational ("1/20") or a decimal ("0.05", "5e-2"), read exactly."""
     try:
@@ -440,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_exact_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.fn(args)
     except InvariantViolation as exc:

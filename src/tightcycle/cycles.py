@@ -241,6 +241,7 @@ def brute_force_longest_cycle(H: Hypergraph3) -> TightCycle | None:
 
     for start in range(1, n - MIN_CYCLE_LENGTH + 2):
         dfs([start], {start})
+    del dfs  # dfs refers to itself: free its closure, and with it H, now
     if best is None:
         return None
     cycle = TightCycle(best[1])
@@ -313,9 +314,9 @@ def _plan_cluster_walk(
             remaining[c] += 1
         return False
 
-    if dfs():
-        return tuple(seq)
-    return None
+    found = dfs()
+    del dfs  # dfs refers to itself: free its closure now, not at a later collection
+    return tuple(seq) if found else None
 
 
 def _instantiate_plan(
@@ -372,9 +373,9 @@ def _instantiate_plan(
                 return False
         return False
 
-    if dfs(0):
-        return tuple(choice), best_prefix
-    return None, best_prefix
+    found = dfs(0)
+    del dfs  # dfs refers to itself: free its closure, and with it H, now
+    return (tuple(choice) if found else None), best_prefix
 
 
 def matching_guided_cycle(

@@ -4,17 +4,22 @@ inheritance inequality.
 A weak slice is a seeded random equipartition of the vertex set into t
 clusters of equal size m (after deleting the n mod t remainder), with
 complete bipartite pair graphs between clusters.  It stands in for a
-genuine regular partition at desk scale.  A ClusterIndex buckets the edges
-of H by cluster triple in one pass, and the per-triple queries read it:
-relative_density gives exact rational densities (counts over the m^3
-crossing triples), and irregularity_witness gives "regular" labels from a
-sampled search for deviating induced sub-polyads, which is one-sided
-evidence only; eps is an exact rational and every comparison with it is
-made in integers.  build_reduced_graph builds one index and calls those two
-queries for every triple; there is no other reduce path.  One pass over the
-triples tallies each cluster's counts for reduced_degree_check, which checks
-deg(Y; R_d) >= deg(Y; R) - d - zeta(Y) for every cluster Y: a counting fact
-that must hold for every density/label configuration, however adversarial.
+genuine regular partition at desk scale.  A ClusterIndex stores, in one
+pass over H, each cluster triple's polyad as an int bitset over its m^3
+crossing triples, and the per-triple queries read it: relative_density
+gives exact rational densities (a popcount over m^3), sub_polyad_density
+and the witness search count a sub-polyad with one mask, one AND and one
+popcount, and irregularity_witness gives "regular" labels from a sampled
+search for deviating induced sub-polyads, which is one-sided evidence
+only.  An empty or complete polyad, whose every sub-polyad has density 0
+or 1, is searched only when that density deviates from the reference by
+more than eps.  eps is an exact rational and every comparison with it is
+made in integers.  build_reduced_graph builds one index and calls
+relative_density and irregularity_witness for every triple; there is no
+other reduce path.  One pass over the triples tallies each cluster's counts
+for reduced_degree_check, which checks deg(Y; R_d) >= deg(Y; R) - d -
+zeta(Y) for every cluster Y: a counting fact that must hold for every
+density/label configuration, however adversarial.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from typing import Iterable, Sequence
 
 from .errors import InvalidArgumentError
 from .generators import derive_seed
-from .hypergraph import Edge3, Hypergraph3
+from .hypergraph import Hypergraph3
 
 Triple = tuple[int, int, int]  # sorted triple of 0-based cluster ids
 
@@ -114,36 +119,48 @@ def _check_search(eps, samples: int) -> Fraction:
 
 
 class ClusterIndex:
-    """The edges of H bucketed by sorted cluster triple of a slice S, built in
-    one pass over H; every per-triple query below reads it.
+    """The polyads of H over a slice S, built in one pass over H; every
+    per-triple query below reads it.
 
-    Each edge is stored in cluster order (its vertex in the smallest cluster
-    first).  Edges touching a deleted vertex or meeting a cluster twice belong
-    to no triple and are dropped.
+    Vertex v of cluster c at position p has slot c*m + p.  The polyad of a
+    sorted cluster triple is one int: the edge whose vertices sit at
+    positions pa, pb, pc of its three clusters (in cluster order) sets bit
+    (pa*m + pb)*m + pc.  Edges touching a deleted vertex or meeting a cluster
+    twice belong to no triple and are dropped.
     """
 
-    __slots__ = ("S", "buckets")
+    __slots__ = ("S", "slot", "polyads")
 
     def __init__(self, H: Hypergraph3, S: WeakSlice):
-        where = S.cluster_lookup()
-        buckets: dict[Triple, list[Edge3]] = {}
-        for e in H.edges:
-            try:
-                (i, a), (j, b), (k, c) = sorted((where[v], v) for v in e)
-            except KeyError:
+        m = S.m
+        if any(len(cl) != m for cl in S.clusters):
+            raise InvalidArgumentError("the clusters of a slice must all have size m")
+        slot = [-1] * (max(H.n, S.n) + 1)
+        for cid, cl in enumerate(S.clusters):
+            for p, v in enumerate(cl):
+                slot[v] = cid * m + p
+        split = [divmod(s, m) for s in range(S.t * m)]  # slot -> (cluster, position)
+        polyads: dict[Triple, int] = {}
+        for a, b, c in H.edges:
+            sa, sb, sc = sorted((slot[a], slot[b], slot[c]))
+            if sa < 0:
                 continue
+            (i, pa), (j, pb), (k, pc) = split[sa], split[sb], split[sc]
             if i != j and j != k:
-                buckets.setdefault((i, j, k), []).append((a, b, c))
+                polyads[i, j, k] = polyads.get((i, j, k), 0) | 1 << ((pa * m + pb) * m + pc)
         self.S = S
-        self.buckets = buckets
+        self.slot = slot
+        self.polyads = polyads
 
 
-def _sub_count(bucket: Sequence[Edge3], subsets: Sequence[Sequence[int]]) -> tuple[int, int]:
-    """Edges of the bucket's polyad inside one subset per cluster, and the
-    number of crossing triples those subsets span."""
-    A, B, C = (set(sub) for sub in subsets)
-    num = sum(1 for a, b, c in bucket if a in A and b in B and c in C)
-    return num, len(A) * len(B) * len(C)
+def _sub_count(polyad: int, m: int, P: Sequence[int], Q: Sequence[int],
+               R: Sequence[int]) -> tuple[int, int]:
+    """Edges of a polyad inside the positions P x Q x R of its clusters (each
+    without repeats), and the number of crossing triples those positions span."""
+    c = sum(1 << z for z in R)
+    bc = sum(c << y * m for y in Q)
+    abc = sum(bc << x * m * m for x in P)
+    return (polyad & abc).bit_count(), len(P) * len(Q) * len(R)
 
 
 def relative_density(index: ClusterIndex, X: Iterable[int]) -> Fraction:
@@ -153,8 +170,8 @@ def relative_density(index: ClusterIndex, X: Iterable[int]) -> Fraction:
     """
     S = index.S
     xs = _check_triple(S, X)
-    den = len(S.clusters[xs[0]]) * len(S.clusters[xs[1]]) * len(S.clusters[xs[2]])
-    return Fraction(len(index.buckets.get(xs, ())), den) if den else Fraction(0)
+    den = S.m ** 3
+    return Fraction(index.polyads.get(xs, 0).bit_count(), den) if den else Fraction(0)
 
 
 def sub_polyad_density(
@@ -163,12 +180,17 @@ def sub_polyad_density(
     subsets: Sequence[Sequence[int]],
 ) -> Fraction:
     """Density of the sub-polyad induced by one vertex subset per cluster of X."""
-    xs = _check_triple(index.S, X)
+    S = index.S
+    xs = _check_triple(S, X)
+    if len(subsets) != 3:
+        raise InvalidArgumentError(f"need one subset per cluster of X, got {len(subsets)}")
+    positions = []
     for cid, sub in zip(xs, subsets):
-        cluster = set(index.S.clusters[cid])
-        if not set(sub) <= cluster:
+        vs = set(sub)
+        if not vs <= set(S.clusters[cid]):
             raise InvalidArgumentError(f"subset {sub} not inside cluster {cid}")
-    num, den = _sub_count(index.buckets.get(xs, ()), subsets)
+        positions.append([index.slot[v] - cid * S.m for v in vs])
+    num, den = _sub_count(index.polyads.get(xs, 0), S.m, *positions)
     return Fraction(num, den) if den else Fraction(0)
 
 
@@ -206,22 +228,28 @@ def irregularity_witness(
     # denominators, in integers, so no rounding can make or skip a witness
     dn, dd = Fraction(d).as_integer_ratio()
     en, ed = eps.as_integer_ratio()
-    bucket = index.buckets.get(xs, ())
+    m = S.m
+    full_support = m ** 3
+    polyad = index.polyads.get(xs, 0)
+    complete = (1 << full_support) - 1
+    if polyad in (0, complete):
+        # every sub-polyad then has the same density, 0 or 1, so when that is
+        # within eps of d no draw can give a witness
+        delta = int(polyad == complete)
+        if abs(delta * dd - dn) * ed <= en * dd:
+            return None
     rng = random.Random(seed)
-    parts = [list(S.clusters[c]) for c in xs]
-    full_support = S.m ** 3
+    positions = range(m)  # sampling positions draws exactly as sampling the cluster
     for _ in range(samples):
-        subs = []
-        for part in parts:
-            size = rng.randint(1, len(part))
-            subs.append(tuple(sorted(rng.sample(part, size))))
-        if len(subs[0]) * len(subs[1]) * len(subs[2]) * ed <= en * full_support:
+        P, Q, R = (rng.sample(positions, rng.randint(1, m)) for _ in range(3))
+        if len(P) * len(Q) * len(R) * ed <= en * full_support:
             continue
-        num, den = _sub_count(bucket, subs)
+        num, den = _sub_count(polyad, m, P, Q, R)
         if abs(num * dd - dn * den) * ed > en * den * dd:
             return IrregularityWitness(
                 X=xs,
-                subsets=(subs[0], subs[1], subs[2]),
+                subsets=tuple(tuple(sorted(S.clusters[cid][p] for p in ps))
+                              for cid, ps in zip(xs, (P, Q, R))),
                 observed_density=Fraction(num, den),
                 reference_density=d,
                 eps=eps,

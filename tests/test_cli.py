@@ -306,6 +306,10 @@ BAD_INPUT_CASES = [
     ("pipeline-zero-samples", ["pipeline", "{file}", "--samples", "0"], {}, None),
     ("pipeline-t-two", ["pipeline", "{file}", "--t", "2"], {}, None),
     ("reduce-d-negative", ["reduce", "{file}", "--t", "3", "--d", "-1"], {}, None),
+    ("reduce-d-negative-rational", ["reduce", "{file}", "--t", "3", "--d", "-1/20"], {}, None),
+    ("pipeline-eps-negative-rational", ["pipeline", "{file}", "--eps", "-1/2"], {}, None),
+    ("pipeline-eps-negative-exponent", ["pipeline", "{file}", "--eps", "-1e-3"], {}, None),
+    ("eta-negative-exponent", ["extremal", "--n", "9", "--eta", "-1e400"], {}, None),
     ("pipeline-d-above-one", ["pipeline", "{file}", "--t", "3", "--d", "2"], {}, None),
     ("egcheck-negative-k", ["egcheck", "{file}", "--k", "-3"], {}, b"4 2\n1 2\n3 4\n"),
 ]

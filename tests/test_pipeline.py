@@ -1,3 +1,4 @@
+import gc
 from fractions import Fraction
 
 import pytest
@@ -60,6 +61,20 @@ def test_pipeline_random_dense_instance():
     assert report.ok
     cycle = {s.name: s for s in report.stages}["cycle"].detail
     assert cycle["valid"] and cycle["length"] >= 4
+
+
+def test_pipeline_leaves_no_reference_cycles():
+    # A run's garbage, the host and its indexes included, is freed when the
+    # run ends, not whenever the collector next gets to it.
+    H = random_3graph(30, 0.8, 2)
+    gc.collect()
+    gc.disable()
+    try:
+        assert run_pipeline(H, 6, Fraction(1, 20), 0.25, 12, seed=3).ok
+        del H
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_pipeline_records_failure_and_skips():

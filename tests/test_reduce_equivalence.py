@@ -1,11 +1,16 @@
-"""The bucketed reduce layer against the permutation-scan counter it replaced.
+"""The bitset reduce layer against the counters it replaced.
 
-The oracle below is the former counting core of `slices`: for every polyad
-and every witness sample it scans all edges of H in all six vertex orders.
-On a fixed, seeded corpus (including hosts with n mod t != 0 and edges that
-meet one cluster twice) densities, sub-polyad densities, witnesses and whole
-reduced graphs must equal the oracle's exactly, and the canonical pipeline
-reports of the pinned seeds must keep the digests they had under the oracle.
+Two oracles stand in for former counting cores of `slices`.  The
+permutation scan counts, for every polyad and every witness sample, the
+edges of H in all six vertex orders, and compares deviations in floats, so
+its corpus keeps away from the eps boundaries.  The edge-list counter
+buckets the edges by cluster triple as lists and counts a sample with three
+set lookups per edge; it compares in integers, so it is the oracle for
+wide polyads (m >= 5, more than 64 bits), complete and empty hosts and
+reference densities exactly eps away from 0 or 1.  Densities, sub-polyad
+densities, witnesses and whole reduced graphs must equal the oracles'
+exactly, and the canonical pipeline reports of the pinned seeds must keep
+the digests they had under the permutation scan.
 """
 
 import hashlib
@@ -15,6 +20,7 @@ from fractions import Fraction
 
 import pytest
 
+from tightcycle import slices
 from tightcycle.generators import derive_seed, extremal, random_3graph
 from tightcycle.hypergraph import Hypergraph3, complete_3graph
 from tightcycle.pipeline import run_pipeline
@@ -76,6 +82,63 @@ def oracle_reduced_graph(H, S, d_threshold, eps, samples, seed):
         dv = oracle_density(H, [S.clusters[c] for c in X])
         densities[X] = dv
         w = oracle_witness(H, S, X, dv, eps, samples, derive_seed(seed, idx))
+        regular[X] = w is None
+    return ReducedGraph(
+        t=S.t, m=S.m, densities=densities, regular=regular, d_threshold=d_threshold
+    )
+
+
+def list_buckets(H, S):
+    """The edges of H by sorted cluster triple, each edge in cluster order;
+    edges touching a deleted vertex or meeting a cluster twice are dropped."""
+    where = S.cluster_lookup()
+    buckets = {}
+    for e in H.edges:
+        try:
+            (i, a), (j, b), (k, c) = sorted((where[v], v) for v in e)
+        except KeyError:
+            continue
+        if i != j and j != k:
+            buckets.setdefault((i, j, k), []).append((a, b, c))
+    return buckets
+
+
+def list_sub_count(bucket, subsets):
+    A, B, C = (set(sub) for sub in subsets)
+    num = sum(1 for a, b, c in bucket if a in A and b in B and c in C)
+    return num, len(A) * len(B) * len(C)
+
+
+def list_witness(buckets, S, xs, d, eps, samples, seed):
+    """The edge-list witness search, with its exact integer comparisons."""
+    dn, dd = Fraction(d).as_integer_ratio()
+    en, ed = Fraction(eps).as_integer_ratio()
+    bucket = buckets.get(xs, ())
+    rng = random.Random(seed)
+    parts = [list(S.clusters[c]) for c in xs]
+    full_support = S.m ** 3
+    for _ in range(samples):
+        subs = []
+        for part in parts:
+            size = rng.randint(1, len(part))
+            subs.append(tuple(sorted(rng.sample(part, size))))
+        if len(subs[0]) * len(subs[1]) * len(subs[2]) * ed <= en * full_support:
+            continue
+        num, den = list_sub_count(bucket, subs)
+        if abs(num * dd - dn * den) * ed > en * den * dd:
+            return IrregularityWitness(
+                X=xs, subsets=tuple(subs), observed_density=Fraction(num, den),
+                reference_density=d, eps=Fraction(eps),
+            )
+    return None
+
+
+def list_reduced_graph(H, S, d_threshold, eps, samples, seed):
+    buckets = list_buckets(H, S)
+    densities, regular = {}, {}
+    for idx, X in enumerate(itertools.combinations(range(S.t), 3)):
+        dv = densities[X] = Fraction(len(buckets.get(X, ())), S.m ** 3)
+        w = list_witness(buckets, S, X, dv, eps, samples, derive_seed(seed, idx))
         regular[X] = w is None
     return ReducedGraph(
         t=S.t, m=S.m, densities=densities, regular=regular, d_threshold=d_threshold
@@ -156,6 +219,88 @@ def test_build_reduced_graph_matches_oracle(name, H, S):
     expected = oracle_reduced_graph(H, S, Fraction(1, 20), 0.2, 10, seed=len(name))
     assert got == expected
     assert got.to_json_dict() == expected.to_json_dict()
+
+
+def _wide_corpus():
+    hosts = [
+        ("random-n31-t3-m10", random_3graph(31, 0.4, 9), 3),
+        ("random-n37-t6-m6", random_3graph(37, 0.85, 8), 6),
+        ("planted-n30-t5-m6", planted(30, 702), 5),
+        ("complete-n13-t4", complete_3graph(13), 4),
+        ("empty-n12-t3", Hypergraph3(12, []), 3),
+    ]
+    return [(name, H, build_weak_slice(H, t, seed=i)) for i, (name, H, t) in enumerate(hosts)]
+
+
+WIDE = _wide_corpus()
+WIDE_IDS = [name for name, _, _ in WIDE]
+EPSES = (Fraction(1, 10), Fraction(1, 4), Fraction(3, 10))
+
+
+def test_wide_corpus_covers_wide_constant_and_mixed_polyads():
+    assert max(S.m for _, _, S in WIDE) ** 3 > 64
+    full = {(1 << S.m ** 3) - 1 for _, _, S in WIDE}
+    polyads = [p for _, H, S in WIDE for p in ClusterIndex(H, S).polyads.values()]
+    assert any(p in full for p in polyads) and any(p not in full for p in polyads)
+    assert any(not ClusterIndex(H, S).polyads for _, H, S in WIDE)
+
+
+@pytest.mark.parametrize("name,H,S", WIDE, ids=WIDE_IDS)
+def test_wide_densities_match_the_list_oracle(name, H, S):
+    index, buckets = ClusterIndex(H, S), list_buckets(H, S)
+    rng = random.Random(name)
+    for X in itertools.combinations(range(S.t), 3):
+        assert relative_density(index, X) == Fraction(len(buckets.get(X, ())), S.m ** 3)
+        for _ in range(6):
+            # with repeats: a subset is read as a set
+            subsets = [rng.choices(S.clusters[c], k=rng.randint(0, S.m + 2)) for c in X]
+            num, den = list_sub_count(buckets.get(X, ()), subsets)
+            expected = Fraction(num, den) if den else Fraction(0)
+            assert sub_polyad_density(index, X, subsets) == expected
+
+
+@pytest.mark.parametrize("name,H,S", WIDE, ids=WIDE_IDS)
+def test_wide_witnesses_match_the_list_oracle(name, H, S):
+    index, buckets = ClusterIndex(H, S), list_buckets(H, S)
+    for idx, X in enumerate(itertools.combinations(range(S.t), 3)):
+        dv = relative_density(index, X)
+        for eps in EPSES:
+            # d exactly eps away from 0 and from 1, and just past those
+            for d in (dv, eps, 1 - eps, eps + Fraction(1, 1000), 1 - eps - Fraction(1, 1000),
+                      Fraction(1, 2)):
+                seed = derive_seed(idx, len(name))
+                got = irregularity_witness(index, X, d, eps, 30, seed)
+                assert got == list_witness(buckets, S, X, d, eps, 30, seed), (X, d, eps)
+
+
+@pytest.mark.parametrize("name,H,S", WIDE, ids=WIDE_IDS)
+def test_wide_reduced_graph_matches_the_list_oracle(name, H, S):
+    for eps in EPSES:
+        got = build_reduced_graph(H, S, Fraction(1, 20), eps, 20, seed=len(name))
+        assert got == list_reduced_graph(H, S, Fraction(1, 20), eps, 20, seed=len(name))
+
+
+def test_constant_polyads_draw_nothing(monkeypatch):
+    H = complete_3graph(13)
+    S = build_weak_slice(H, 4, seed=3)
+    complete, empty = ClusterIndex(H, S), ClusterIndex(Hypergraph3(13, []), S)
+    eps = Fraction(3, 10)
+    # a deviating constant polyad is still searched, with the oracle's draws
+    expected = list_witness(list_buckets(H, S), S, (0, 1, 2), Fraction(1, 2), eps, 40, 9)
+    assert expected is not None
+    assert irregularity_witness(complete, (0, 1, 2), Fraction(1, 2), eps, 40, 9) == expected
+
+    def no_draws(seed):
+        raise AssertionError("a constant polyad within eps of d drew a sample")
+
+    monkeypatch.setattr(slices.random, "Random", no_draws)
+    for X in itertools.combinations(range(S.t), 3):
+        assert irregularity_witness(complete, X, Fraction(1), eps, 40, 9) is None
+        assert irregularity_witness(complete, X, 1 - eps, eps, 40, 9) is None
+        assert irregularity_witness(empty, X, Fraction(0), eps, 40, 9) is None
+        assert irregularity_witness(empty, X, eps, eps, 40, 9) is None
+    with pytest.raises(AssertionError):
+        irregularity_witness(complete, (0, 1, 2), Fraction(1, 2), eps, 40, 9)
 
 
 # SHA-256 of run_pipeline(...).canonical_json(), recorded with the oracle

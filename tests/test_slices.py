@@ -233,6 +233,23 @@ def test_witness_deviation_is_compared_exactly():
     assert irregularity_witness(index, (0, 1, 2), Fraction(1, 3), 0.25, 40, 0) is None
 
 
+def test_cluster_index_needs_clusters_of_one_size():
+    # positions index the polyad bitsets, so every cluster must have m vertices
+    S = WeakSlice(n=10, clusters=((1, 2, 3), (4, 5, 6), (7, 8, 9, 10)), deleted_vertices=())
+    with pytest.raises(InvalidArgumentError):
+        ClusterIndex(complete_3graph(10), S)
+
+
+def test_sub_polyad_density_takes_exactly_three_subsets():
+    H = complete_3graph(9)
+    S = build_weak_slice(H, 3, seed=1)
+    index = ClusterIndex(H, S)
+    assert sub_polyad_density(index, (0, 1, 2), S.clusters) == 1
+    for subsets in (S.clusters[:2], S.clusters + (S.clusters[0],)):
+        with pytest.raises(InvalidArgumentError):
+            sub_polyad_density(index, (0, 1, 2), subsets)
+
+
 def test_good_clusters_trim_and_threshold():
     triples = list(itertools.combinations(range(7), 3))
     ds = {X: Fraction(1, 2) for X in triples}
