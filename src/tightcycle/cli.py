@@ -7,8 +7,11 @@ verification verdict is false, 2 on usage, parse, or precondition errors,
 input).
 '-' names standard input for file arguments, so generators chain into
 consumers.  The TCL_SEED environment variable supplies a seed when --seed
-is not given.  --d, --eps and --eta are read exactly, as rationals, and
-JSON reports are streamed to standard output.
+is not given.  --d, --eps and --eta are read exactly, as rationals.
+
+A JSON report is byte for byte `json.dumps(payload, indent=2,
+sort_keys=True)` followed by a newline: a 2-space indent, sorted keys and
+ASCII escapes.  It is written in pieces, never held as one string.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from . import campaigns
 from .cycles import longest_tight_cycle, validate_cycle
@@ -74,9 +78,9 @@ def _default_seed(value: int | None) -> int:
 
 def _emit(payload: dict, fmt: str) -> None:
     if fmt == "json":
-        # streamed: the indented text is never held as one string
-        json.dump(payload, sys.stdout, indent=2, sort_keys=True)
-        print()
+        write = sys.stdout.write
+        _write_json(payload, write, "\n", 2)
+        write("\n")
     elif fmt == "text":
         for key, value in _flatten(payload):
             print(f"{key}: {value}")
@@ -87,6 +91,120 @@ def _emit(payload: dict, fmt: str) -> None:
             writer.writerow((key, str(value)))
     else:
         raise TclError(f"unknown format {fmt!r}")
+
+
+# The JSON writer.  `json.dump(indent=2)` always runs the stdlib's
+# pure-Python encoder; these functions write the same bytes with less work per
+# value.  `nl` is a newline followed by the indent of the line the value
+# starts on.  Each rule below copies one of json.encoder's.
+
+
+def _write_json(o, write, nl: str, depth: int) -> None:
+    """Write `o` as `json.dumps` would at indent `nl`.  A non-empty list,
+    tuple or dict within `depth` levels of the top goes out one element per
+    `write`, so a report's long lists are never held as one string."""
+    t = type(o)
+    if not (depth and o and (t is list or t is tuple or t is dict)):
+        write(_json_text(o, nl))
+        return
+    inner = nl + "  "
+    lead = inner
+    if t is dict:
+        write("{")
+        for k, v in sorted(o.items()):
+            write(lead + _key_text(k) + ": ")
+            _write_json(v, write, inner, depth - 1)
+            lead = "," + inner
+        write(nl + "}")
+    else:
+        write("[")
+        for v in o:
+            write(lead)
+            _write_json(v, write, inner, depth - 1)
+            lead = "," + inner
+        write(nl + "]")
+
+
+def _json_text(o, nl: str) -> str:
+    t = type(o)
+    if t is int:
+        return int.__repr__(o)
+    if t is str:
+        return encode_basestring_ascii(o)
+    if t is list or t is tuple:
+        return _list_text(o, nl)
+    if t is dict:
+        return _dict_text(o, nl)
+    # the other types and subclasses, tested in the stdlib's order
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)  # an IntEnum is written as its number
+    if isinstance(o, float):
+        return _float_text(o)
+    if isinstance(o, (list, tuple)):
+        return _list_text(o, nl)
+    if isinstance(o, dict):
+        return _dict_text(o, nl)
+    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+
+def _list_text(o, nl: str) -> str:
+    if not o:
+        return "[]"
+    inner = nl + "  "
+    if all(type(v) is int for v in o):
+        body = ("," + inner).join(map(int.__repr__, o))
+    else:
+        body = ("," + inner).join([_json_text(v, inner) for v in o])
+    return "[" + inner + body + nl + "]"
+
+
+def _dict_text(o, nl: str) -> str:
+    if not o:
+        return "{}"
+    inner = nl + "  "
+    body = ("," + inner).join([_key_text(k) + ": " + _json_text(v, inner)
+                               for k, v in sorted(o.items())])
+    return "{" + inner + body + nl + "}"
+
+
+def _key_text(k) -> str:
+    if isinstance(k, str):
+        return encode_basestring_ascii(k)
+    if isinstance(k, float):
+        text = _float_text(k)
+    elif k is True:
+        text = "true"
+    elif k is False:
+        text = "false"
+    elif k is None:
+        text = "null"
+    elif isinstance(k, int):
+        text = int.__repr__(k)
+    else:
+        raise TypeError(f"keys must be str, int, float, bool or None, "
+                        f"not {k.__class__.__name__}")
+    return encode_basestring_ascii(text)
+
+
+_INF = float("inf")
+
+
+def _float_text(o: float) -> str:
+    if o != o:
+        return "NaN"
+    if o == _INF:
+        return "Infinity"
+    if o == -_INF:
+        return "-Infinity"
+    return float.__repr__(o)
 
 
 def _flatten(obj, prefix: str = ""):
@@ -151,7 +269,7 @@ def cmd_components(args) -> int:
     payload = {
         "component_count": lab.component_count,
         "component_sizes": list(lab.component_sizes),
-        "labels": [{"e": list(e), "c": c} for e, c in lab.labels.items()],
+        "labels": [{"e": e, "c": c} for e, c in lab.labels.items()],
     }
     _emit(payload, args.format)
     return EXIT_OK
@@ -160,7 +278,7 @@ def cmd_components(args) -> int:
 def cmd_match(args) -> int:
     G = read_graph(_read_source(args.file))
     mm = max_matching(G)
-    _emit({"size": mm.size, "pairs": [list(p) for p in mm.pairs]}, args.format)
+    _emit({"size": mm.size, "pairs": list(mm.pairs)}, args.format)
     return EXIT_OK
 
 
