@@ -377,6 +377,22 @@ def run_erdos_gallai_random(trials: int, seed: int, max_n: int, jobs: int = 1) -
     return _run_trials("erdos-gallai-random", trials, jobs, trial, {"max_n": max_n})
 
 
+def run_erdos_gallai_campaign(exhaustive_n: int, trials: int, seed: int, max_n: int,
+                              jobs: int = 1) -> CampaignResult:
+    """The exhaustive check on at most exhaustive_n vertices and, if it
+    passes, random graphs on at most max_n, merged into one result."""
+    result = run_erdos_gallai_exhaustive(exhaustive_n)
+    if result.passed:
+        rnd = run_erdos_gallai_random(trials, seed, max_n=max_n, jobs=jobs)
+        result.trials += rnd.trials
+        for failure in rnd.failures:
+            result.record(failure)
+        result.stats.update(random_trials=rnd.trials, instances_sha256=rnd.stats["instances_sha256"])
+        if rnd.stats.get("failures_truncated"):
+            result.stats["failures_truncated"] = True
+    return result
+
+
 # ---------------------------------------------------------------------------
 # extremal family bounds
 # ---------------------------------------------------------------------------

@@ -11,7 +11,8 @@ is not given.  --d, --eps and --eta are read exactly, as rationals.
 
 A JSON report is byte for byte `json.dumps(payload, indent=2,
 sort_keys=True)` followed by a newline: a 2-space indent, sorted keys and
-ASCII escapes.  It is written in pieces, never held as one string.
+ASCII escapes.  It is written in pieces, never held as one string; values
+other than those reports are built from are written by `json.dumps`.
 """
 
 from __future__ import annotations
@@ -94,17 +95,23 @@ def _emit(payload: dict, fmt: str) -> None:
 
 
 # The JSON writer.  `json.dump(indent=2)` always runs the stdlib's
-# pure-Python encoder; these functions write the same bytes with less work per
-# value.  `nl` is a newline followed by the indent of the line the value
-# starts on.  Each rule below copies one of json.encoder's.
+# pure-Python encoder; the functions below write the values reports are built
+# from (exact ints and strs, lists and tuples, dicts with str keys) with less
+# work per value.  Any other value is written by `json.dumps` itself with its
+# indent shifted: the text of a value nested at indent `nl` is its top-level
+# text with `nl` for each newline, and ASCII-escaped JSON has no newline
+# inside a string.  `nl` is a newline followed by the indent of the line the
+# value starts on.
 
 
 def _write_json(o, write, nl: str, depth: int) -> None:
     """Write `o` as `json.dumps` would at indent `nl`.  A non-empty list,
-    tuple or dict within `depth` levels of the top goes out one element per
-    `write`, so a report's long lists are never held as one string."""
+    tuple or str-keyed dict within `depth` levels of the top goes out one
+    element per `write`, so a report's long lists are never held as one
+    string."""
     t = type(o)
-    if not (depth and o and (t is list or t is tuple or t is dict)):
+    if not (depth and o and (t is list or t is tuple
+                             or t is dict and all(type(k) is str for k in o))):
         write(_json_text(o, nl))
         return
     inner = nl + "  "
@@ -112,7 +119,7 @@ def _write_json(o, write, nl: str, depth: int) -> None:
     if t is dict:
         write("{")
         for k, v in sorted(o.items()):
-            write(lead + _key_text(k) + ": ")
+            write(lead + encode_basestring_ascii(k) + ": ")
             _write_json(v, write, inner, depth - 1)
             lead = "," + inner
         write(nl + "}")
@@ -131,80 +138,22 @@ def _json_text(o, nl: str) -> str:
         return int.__repr__(o)
     if t is str:
         return encode_basestring_ascii(o)
-    if t is list or t is tuple:
-        return _list_text(o, nl)
-    if t is dict:
-        return _dict_text(o, nl)
-    # the other types and subclasses, tested in the stdlib's order
-    if isinstance(o, str):
-        return encode_basestring_ascii(o)
-    if o is None:
-        return "null"
-    if o is True:
-        return "true"
-    if o is False:
-        return "false"
-    if isinstance(o, int):
-        return int.__repr__(o)  # an IntEnum is written as its number
-    if isinstance(o, float):
-        return _float_text(o)
-    if isinstance(o, (list, tuple)):
-        return _list_text(o, nl)
-    if isinstance(o, dict):
-        return _dict_text(o, nl)
-    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
-
-
-def _list_text(o, nl: str) -> str:
-    if not o:
-        return "[]"
-    inner = nl + "  "
-    if all(type(v) is int for v in o):
-        body = ("," + inner).join(map(int.__repr__, o))
-    else:
-        body = ("," + inner).join([_json_text(v, inner) for v in o])
-    return "[" + inner + body + nl + "]"
-
-
-def _dict_text(o, nl: str) -> str:
-    if not o:
-        return "{}"
-    inner = nl + "  "
-    body = ("," + inner).join([_key_text(k) + ": " + _json_text(v, inner)
-                               for k, v in sorted(o.items())])
-    return "{" + inner + body + nl + "}"
-
-
-def _key_text(k) -> str:
-    if isinstance(k, str):
-        return encode_basestring_ascii(k)
-    if isinstance(k, float):
-        text = _float_text(k)
-    elif k is True:
-        text = "true"
-    elif k is False:
-        text = "false"
-    elif k is None:
-        text = "null"
-    elif isinstance(k, int):
-        text = int.__repr__(k)
-    else:
-        raise TypeError(f"keys must be str, int, float, bool or None, "
-                        f"not {k.__class__.__name__}")
-    return encode_basestring_ascii(text)
-
-
-_INF = float("inf")
-
-
-def _float_text(o: float) -> str:
-    if o != o:
-        return "NaN"
-    if o == _INF:
-        return "Infinity"
-    if o == -_INF:
-        return "-Infinity"
-    return float.__repr__(o)
+    if (t is list or t is tuple) and o:
+        inner = nl + "  "
+        if all(type(v) is int for v in o):
+            body = ("," + inner).join(map(int.__repr__, o))
+        else:
+            body = ("," + inner).join([_json_text(v, inner) for v in o])
+        return "[" + inner + body + nl + "]"
+    if t is dict and o:
+        inner = nl + "  "
+        try:
+            body = ("," + inner).join([encode_basestring_ascii(k) + ": " + _json_text(v, inner)
+                                       for k, v in sorted(o.items())])
+            return "{" + inner + body + nl + "}"
+        except TypeError:
+            pass  # keys that are not all str, or a value the stdlib refuses
+    return json.dumps(o, indent=2, sort_keys=True).replace("\n", nl)
 
 
 def _flatten(obj, prefix: str = ""):
@@ -409,19 +358,6 @@ def cmd_pipeline(args) -> int:
     return EXIT_OK if report.ok else EXIT_VERDICT_FALSE
 
 
-def _verify_erdos_gallai(args, seed: int):
-    result = campaigns.run_erdos_gallai_exhaustive(args.exhaustive_n)
-    if result.passed:
-        rnd = campaigns.run_erdos_gallai_random(args.trials, seed, max_n=args.max_n, jobs=args.jobs)
-        result.trials += rnd.trials
-        for failure in rnd.failures:
-            result.record(failure)
-        result.stats.update(random_trials=rnd.trials, instances_sha256=rnd.stats["instances_sha256"])
-        if rnd.stats.get("failures_truncated"):
-            result.stats["failures_truncated"] = True
-    return result
-
-
 # `tcl verify` campaign name -> (the campaign options it reads with their
 # defaults, call(args, seed) returning a CampaignResult).  --seed and --jobs
 # are accepted by every campaign: a deterministic campaign has no use for the
@@ -436,7 +372,9 @@ CAMPAIGNS = {
         a.trials, seed, jobs=a.jobs)),
     "reduced-degree": ({"trials": 100}, lambda a, seed: campaigns.run_reduced_degree_campaign(
         a.trials, seed, jobs=a.jobs)),
-    "erdos-gallai": ({"trials": 100, "max_n": 12, "exhaustive_n": 6}, _verify_erdos_gallai),
+    "erdos-gallai": ({"trials": 100, "max_n": 12, "exhaustive_n": 6},
+                     lambda a, seed: campaigns.run_erdos_gallai_campaign(
+                         a.exhaustive_n, a.trials, seed, a.max_n, a.jobs)),
     "extremal-bound": ({"max_n": 12}, lambda a, seed: campaigns.run_extremal_bound_campaign(a.max_n)),
     "cycle-oracle": ({"trials": 100, "max_n": campaigns.CYCLE_ORACLE_MAX_N},
                      lambda a, seed: campaigns.run_cycle_oracle_campaign(

@@ -341,9 +341,6 @@ def _instantiate_plan(
     best_prefix: tuple[int, ...] = ()
     steps = 0
 
-    def ok(a: int, b: int, c: int) -> bool:
-        return (a, b, c) in H
-
     def dfs(pos: int) -> bool:
         nonlocal steps, best_prefix
         if pos == L:
@@ -354,12 +351,12 @@ def _instantiate_plan(
                 return False
             if v in used:
                 continue
-            if pos >= 2 and not ok(choice[pos - 2], choice[pos - 1], v):
+            if pos >= 2 and (choice[pos - 2], choice[pos - 1], v) not in H:
                 continue
             if pos == L - 1:
-                if not ok(choice[pos - 1], v, choice[0]):
+                if (choice[pos - 1], v, choice[0]) not in H:
                     continue
-                if not ok(v, choice[0], choice[1]):
+                if (v, choice[0], choice[1]) not in H:
                     continue
             choice.append(v)
             used.add(v)

@@ -56,12 +56,11 @@ def extremal(n: int, a: int) -> ExtremalInstance:
     H = Hypergraph3(n, edges)
     b = n - a
     predicted = comb(n - 1, 2) - (comb(b - 1, 2) if b >= 1 else 0)
-    if n >= 1:
-        actual = H.min_degree(1)
-        if actual != predicted:
-            raise InvariantViolation(
-                f"extremal({n},{a}): min degree {actual} != predicted {predicted}"
-            )
+    actual = H.min_degree(1)
+    if actual != predicted:
+        raise InvariantViolation(
+            f"extremal({n},{a}): min degree {actual} != predicted {predicted}"
+        )
     return ExtremalInstance(
         hypergraph=H,
         a_side=a_side,

@@ -81,6 +81,9 @@ CASES = [
     [Colour.RED, 3], [(1, 2), (3, 4)], Pair(1, "x"), OrderedDict([("b", 1), ("a", 2)]),
     {"e": (1, 2, 3), "c": 0}, [{"e": (1, 2, 3), "c": 0}, {"e": (1, 2, 4), "c": 1}],
     {"deep": [{"x": [[1, [2, {"y": ()}]]]}]}, [[[[[]]]]],
+    # values json.dumps writes, below the streamed levels
+    {"a": [{"b": Pair({"k": [1, 2]}, Weight(0.5))}]}, [[{1: [{"x": None}], 2: True}]],
+    {"t": [[math.nan, {"k": Colour.RED}]]},
     # keys
     {"b": 1, "a": 2, "é": 3, "\n": 4}, {10: "a", 2: "b", -1: "c"}, {2 ** 65: 1},
     {0.5: 1, 1.5: 2, -math.inf: 3, math.inf: 4}, {True: 1, False: 2}, {None: 1},
@@ -88,7 +91,7 @@ CASES = [
     {"top": {3: [1], 1: {"z": None}}},
     # errors: a value or key the stdlib refuses, and keys it cannot sort
     object(), {1, 2}, Fraction(1, 2), [1, object()], {"a": {"b": b"bytes"}},
-    {(1, 2): 1}, {"a": 1, 2: "b"}, {None: 1, 0: 2},
+    {(1, 2): 1}, {"a": 1, 2: "b"}, {None: 1, 0: 2}, [[{"a": {"b": object()}}]],
 ]
 
 
