@@ -196,8 +196,8 @@ def cmd_info(args) -> int:
     payload = {
         "n": H.n,
         "edges": len(H.edges),
-        "min_degree_1": H.min_degree(1) if H.n >= 1 else 0,
-        "min_degree_2": H.min_degree(2) if H.n >= 2 else 0,
+        "min_degree_1": H.min_degree(1),
+        "min_degree_2": H.min_degree(2),
         "density": str(density(H)),
         "tight_components": lab.component_count,
         "tightly_connected": lab.component_count == 1,

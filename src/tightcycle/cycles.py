@@ -13,7 +13,8 @@ sequence, which the DP does not carry in its key; instead each state holds
 the bitmask of second vertices realizable for it, which closure intersects
 with the completions of the seam pair.  A state (mask, a, b) is one int,
 mask << 10 | a << 5 | b (bit v-1 of mask for vertex v), and the completions
-of a pair are a list lookup comp[a][b], so a transition builds no tuple;
+of a pair are a lookup in the host's table, H.completions[a][b] (read only
+after the size and no-edge checks), so a transition builds no tuple;
 int keys also take about 30 % less memory than tuple keys.  The passes, their
 order and the cycle returned are those of the earlier tuple-keyed DP.  Memory
 is the price: the budget is n <= 22, and dense instances get slow well
@@ -115,17 +116,6 @@ def _bits(x: int):
         x ^= b
 
 
-def _completions(H: Hypergraph3) -> list[list[int]]:
-    """comp[a][b] == comp[b][a]: bitmask of the c with {a, b, c} an edge
-    (bit v-1 for vertex v), over rows and columns 0..n."""
-    comp = [[0] * (H.n + 1) for _ in range(H.n + 1)]
-    for a, b, c in H.edges:
-        comp[a][b] = comp[b][a] = comp[a][b] | 1 << (c - 1)
-        comp[a][c] = comp[c][a] = comp[a][c] | 1 << (b - 1)
-        comp[b][c] = comp[c][b] = comp[b][c] | 1 << (a - 1)
-    return comp
-
-
 def longest_tight_cycle(H: Hypergraph3) -> TightCycle | None:
     """Exact maximum-length tight cycle, or None when no cycle of length >= 4
     exists.  Refuses n > 22; use the matching-guided heuristic beyond that."""
@@ -137,7 +127,7 @@ def longest_tight_cycle(H: Hypergraph3) -> TightCycle | None:
         )
     if not H.edges:
         return None
-    comp = _completions(H)
+    comp = H.completions
 
     best_len = 0
     best_state: tuple[int, int, int] | None = None  # s, key, q

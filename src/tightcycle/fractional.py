@@ -128,6 +128,10 @@ def _optimum(
     edges = list(H.edges)
     if restrict_to is not None:
         lab = tight_components(H)
+        if lab.component_count == 0:
+            raise InvalidArgumentError(
+                f"component id {restrict_to}: the host has no edges, so no tight components"
+            )
         if not 0 <= restrict_to < lab.component_count:
             raise InvalidArgumentError(
                 f"component id {restrict_to} out of range 0..{lab.component_count - 1}"
@@ -192,7 +196,7 @@ def tight_perfect_fractional_matching(H: Hypergraph3) -> FracmatchResult:
     n = H.n
     if n % 3 != 0:
         raise PreconditionError(f"need 3 | n, got n={n}")
-    delta = H.min_degree(1) if n >= 1 else 0
+    delta = H.min_degree(1)
     if delta < min_degree_bound(n):
         raise PreconditionError(
             f"need min degree > (5/9)C({n},2) = {5 * comb(n, 2)}/9, got {delta}"

@@ -4,6 +4,11 @@ Vertices are dense 1-based integers.  Edges are stored as ascending tuples
 and the edge set is hashed, so membership tests are O(1).  Both types are
 immutable by convention after construction and safe to share across workers.
 
+A 3-graph builds two indices lazily: `degrees`, and `completions`, its one
+pair table, which holds for each pair {a, b} the bitmask of the c with abc
+an edge (a codegree is its popcount).  `link_graph` scans the edges instead:
+one link graph of a fresh host costs less than building the table.
+
 Edges are checked in one place, `_canonical_edges`, which both constructors
 call: arity, distinct vertices, range [1, n] and duplicates.  The text
 readers check only the header and the tokens of each line and feed the
@@ -14,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 from math import comb
-from typing import IO, Iterable
+from typing import Iterable
 
 from .errors import InvalidArgumentError, ParseError
 
@@ -52,8 +57,8 @@ class Hypergraph3:
     def __init__(self, n: int, edges: Iterable[Iterable[int]]):
         self.edges, self.edge_set = _canonical_edges(n, edges, 3)
         self.n = n
-        self._pair_index: dict[Edge2, tuple[Edge3, ...]] | None = None
         self._degrees: tuple[int, ...] | None = None
+        self._completions: list[list[int]] | None = None
         self._tight_labeling = None  # kept by tight.tight_components
 
     # -- basic counts -------------------------------------------------
@@ -80,19 +85,6 @@ class Hypergraph3:
     # -- degrees ------------------------------------------------------
 
     @property
-    def pair_index(self) -> dict[Edge2, tuple[Edge3, ...]]:
-        """Map from each 2-subset that occurs in an edge to the edges containing it."""
-        if self._pair_index is None:
-            idx: dict[Edge2, list[Edge3]] = {}
-            for e in self.edges:
-                a, b, c = e
-                idx.setdefault((a, b), []).append(e)
-                idx.setdefault((a, c), []).append(e)
-                idx.setdefault((b, c), []).append(e)
-            self._pair_index = {p: tuple(v) for p, v in idx.items()}
-        return self._pair_index
-
-    @property
     def degrees(self) -> tuple[int, ...]:
         """Vertex degrees indexed by vertex; entry 0 is an unused 0."""
         if self._degrees is None:
@@ -103,29 +95,33 @@ class Hypergraph3:
             self._degrees = tuple(degs)
         return self._degrees
 
-    def degree(self, S: Iterable[int]) -> int:
-        """Number of edges containing the 1- or 2-element vertex set S."""
-        s = tuple(sorted(set(S)))
-        if len(s) not in (1, 2):
-            raise InvalidArgumentError(f"degree is defined for |S| in {{1,2}}, got {s}")
-        if s[0] < 1 or s[-1] > self.n:
-            raise InvalidArgumentError(f"S={s} not inside [1, {self.n}]")
-        if len(s) == 2:
-            return len(self.pair_index.get((s[0], s[1]), ()))
-        return self.degrees[s[0]]
+    @property
+    def completions(self) -> list[list[int]]:
+        """Codegrees as bitmasks: completions[a][b] == completions[b][a] has
+        bit c-1 set exactly when {a, b, c} is an edge; rows and columns run
+        0..n, and row and column 0 are zero."""
+        if self._completions is None:
+            comp = [[0] * (self.n + 1) for _ in range(self.n + 1)]
+            for a, b, c in self.edges:
+                comp[a][b] = comp[b][a] = comp[a][b] | 1 << (c - 1)
+                comp[a][c] = comp[c][a] = comp[a][c] | 1 << (b - 1)
+                comp[b][c] = comp[c][b] = comp[b][c] | 1 << (a - 1)
+            self._completions = comp
+        return self._completions
 
     def min_degree(self, s: int = 1) -> int:
-        """Minimum of degree() over all s-subsets of the vertex set."""
+        """Minimum number of edges containing an s-subset of the vertex set,
+        for s in {1, 2}; 0 when n < s, as there is no s-subset."""
         if s not in (1, 2):
             raise InvalidArgumentError(f"s must be 1 or 2, got {s}")
-        if self.n < s:
-            raise InvalidArgumentError(f"n={self.n} < s={s}")
         # An edge covers 3 vertices and 3 pairs: with too few edges some
         # vertex or pair has degree 0, found without listing them all.
+        if self.n < s or 3 * len(self.edges) < comb(self.n, s):
+            return 0
         if s == 1:
-            return 0 if 3 * len(self.edges) < self.n else min(self.degrees[1:])
-        pidx = self.pair_index
-        return 0 if len(pidx) < comb(self.n, 2) else min(map(len, pidx.values()))
+            return min(self.degrees[1:])
+        comp = self.completions
+        return min(comp[a][b].bit_count() for a, b in itertools.combinations(self.vertices(), 2))
 
     def link_graph(self, v: int) -> "Graph":
         """Link graph of v on the full vertex set (v itself stays, isolated)."""
@@ -202,14 +198,13 @@ def density(H: Hypergraph3):
 # ---------------------------------------------------------------------------
 
 
-def _read(source: str | IO[str], cls, k: int):
+def _read(text: str, cls, k: int):
     """Parse a ".3g" (k = 3) or ".2g" (k = 2) document into cls(n, edges).
 
     Only the header and the tokens of each line are checked here; the edges
     go lazily into the constructor, whose errors become a ParseError on the
     line of the edge it was checking.
     """
-    text = source if isinstance(source, str) else source.read()
     lines = enumerate(text.splitlines(), start=1)
     n = None
     for lineno, raw in lines:
@@ -249,31 +244,28 @@ def _read(source: str | IO[str], cls, k: int):
         raise ParseError(str(exc), current) from None
 
 
-def _write(k: int, n: int, edges: Iterable[tuple[int, ...]], stream: IO[str] | None) -> str:
-    """Header "k n", then one edge per line; also written to stream if given."""
+def _write(k: int, n: int, edges: Iterable[tuple[int, ...]]) -> str:
+    """Header "k n", then one edge per line."""
     row = " ".join(["%s"] * k)
     lines = [f"{k} {n}"]
     lines.extend(row % e for e in edges)
-    text = "\n".join(lines) + "\n"
-    if stream is not None:
-        stream.write(text)
-    return text
+    return "\n".join(lines) + "\n"
 
 
-def read_hypergraph(source: str | IO[str]) -> Hypergraph3:
-    """Parse a ".3g" document from a string or text stream."""
-    return _read(source, Hypergraph3, 3)
+def read_hypergraph(text: str) -> Hypergraph3:
+    """Parse a ".3g" document."""
+    return _read(text, Hypergraph3, 3)
 
 
-def write_hypergraph(H: Hypergraph3, stream: IO[str] | None = None) -> str:
-    """Serialize H canonically (header plus ascending edges); returns the text."""
-    return _write(3, H.n, H.edges, stream)
+def write_hypergraph(H: Hypergraph3) -> str:
+    """Serialize H canonically (header plus ascending edges)."""
+    return _write(3, H.n, H.edges)
 
 
-def read_graph(source: str | IO[str]) -> Graph:
-    """Parse a ".2g" document from a string or text stream."""
-    return _read(source, Graph, 2)
+def read_graph(text: str) -> Graph:
+    """Parse a ".2g" document."""
+    return _read(text, Graph, 2)
 
 
-def write_graph(G: Graph, stream: IO[str] | None = None) -> str:
-    return _write(2, G.n, G.edges, stream)
+def write_graph(G: Graph) -> str:
+    return _write(2, G.n, G.edges)

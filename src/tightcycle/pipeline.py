@@ -136,7 +136,7 @@ def _stages(
     yield {
         "n": H.n,
         "edges": len(H.edges),
-        "min_degree": H.min_degree(1) if H.n >= 1 else 0,
+        "min_degree": H.min_degree(1),
         "density": str(density(H)),
     }
 

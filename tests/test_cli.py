@@ -147,6 +147,20 @@ def test_random_seed_env_fallback(capsys, monkeypatch):
     assert out1 == out2 and "seed=123" in out1
 
 
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_random_min_degree_on_fewer_than_three_vertices_prints_an_empty_host(capsys, n):
+    code, out, err = run_cli(capsys, "random", "--n", str(n), "--delta-target", "0", "--seed", "1")
+    assert (code, err) == (0, "")
+    assert out == f"# generator: random-min-degree delta=0 n={n} seed=1\n3 {n}\n"
+
+
+def test_maxfrac_component_on_edgeless_host_says_it_has_no_components(capsys, tmp_path):
+    path = tmp_path / "e.3g"
+    path.write_text("3 4\n")
+    _, _, err = run_cli(capsys, "maxfrac", str(path), "--component", "0")
+    assert "no tight components" in err and "0..-1" not in err
+
+
 def test_verify_graphmeet_exit_zero(capsys):
     code, out, _ = run_cli(capsys, "verify", "graphmeet", "--n", "9",
                            "--trials", "25", "--seed", "7")
@@ -312,6 +326,7 @@ BAD_INPUT_CASES = [
     ("eta-negative-exponent", ["extremal", "--n", "9", "--eta", "-1e400"], {}, None),
     ("pipeline-d-above-one", ["pipeline", "{file}", "--t", "3", "--d", "2"], {}, None),
     ("egcheck-negative-k", ["egcheck", "{file}", "--k", "-3"], {}, b"4 2\n1 2\n3 4\n"),
+    ("maxfrac-component-edgeless", ["maxfrac", "{file}", "--component", "0"], {}, b"3 4\n"),
 ]
 
 

@@ -32,12 +32,9 @@ from tightcycle.hypergraph import Hypergraph3
 def _pair_completions(H: Hypergraph3) -> dict[tuple[int, int], int]:
     """pair (a<b) -> bitmask of c with {a,b,c} an edge (bit v-1 for vertex v)."""
     comp: dict[tuple[int, int], int] = {}
-    for pair, edges in H.pair_index.items():
-        mask = 0
-        for e in edges:
-            third = e[0] + e[1] + e[2] - pair[0] - pair[1]
-            mask |= 1 << (third - 1)
-        comp[pair] = mask
+    for a, b, c in H.edges:
+        for pair, third in (((a, b), c), ((a, c), b), ((b, c), a)):
+            comp[pair] = comp.get(pair, 0) | 1 << (third - 1)
     return comp
 
 

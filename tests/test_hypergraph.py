@@ -1,4 +1,3 @@
-import io
 import itertools
 import json
 import os
@@ -25,8 +24,8 @@ from tightcycle.hypergraph import (
 
 def test_degree_complete_k4():
     K4 = complete_3graph(4)
-    assert K4.degree([1]) == 3  # each vertex misses exactly one triple
-    assert K4.degree([1, 2]) == 2  # third vertex is 3 or 4
+    assert K4.degrees[1] == 3  # each vertex misses exactly one triple
+    assert K4.completions[1][2] == 0b1100  # third vertex is 3 or 4
 
 
 def test_degree_extremal_b_vertex():
@@ -43,19 +42,25 @@ def test_degree_matches_brute_count_on_random_hosts():
     for seed in range(6):
         H = random_3graph(14, 0.1 + 0.15 * seed, seed)
         brute = [sum(1 for e in H.edges if v in e) for v in H.vertices()]
-        assert [H.degree([v]) for v in H.vertices()] == brute
+        assert list(H.degrees[1:]) == brute
         assert H.min_degree(1) == min(brute)
 
 
-def test_min_degrees_match_brute_count_with_uncovered_vertices_and_pairs():
+def _degree_hosts():
+    """Edgeless, complete and random hosts, with and without an uncovered
+    vertex or pair."""
     rng = random.Random(3)
     hosts = [Hypergraph3(n, []) for n in (2, 3, 7)] + [complete_3graph(6)]
     for _ in range(40):
         n = rng.randint(3, 10)
         triples = list(itertools.combinations(range(1, n + 1), 3))
         hosts.append(Hypergraph3(n, rng.sample(triples, rng.randint(0, len(triples)))))
+    return hosts
+
+
+def test_min_degrees_match_brute_count_with_uncovered_vertices_and_pairs():
     seen = set()
-    for H in hosts:
+    for H in _degree_hosts():
         by_vertex = [sum(1 for e in H.edges if v in e) for v in H.vertices()]
         by_pair = [sum(1 for e in H.edges if set(p) <= set(e))
                    for p in itertools.combinations(H.vertices(), 2)]
@@ -79,16 +84,6 @@ def test_info_on_huge_edgeless_host_is_quick(tmp_path):
     assert payload["min_degree_1"] == 0 and payload["min_degree_2"] == 0
 
 
-def test_degree_rejects_bad_sets():
-    K4 = complete_3graph(4)
-    with pytest.raises(InvalidArgumentError):
-        K4.degree([1, 2, 3])
-    with pytest.raises(InvalidArgumentError):
-        K4.degree([0])
-    with pytest.raises(InvalidArgumentError):
-        K4.degree([5])
-
-
 def test_min_degree():
     assert complete_3graph(5).min_degree(1) == 6
     assert Hypergraph3(5, []).min_degree(1) == 0
@@ -97,8 +92,11 @@ def test_min_degree():
 
 def test_min_degree_invalid():
     H = Hypergraph3(1, [])
-    with pytest.raises(InvalidArgumentError):
-        H.min_degree(2)
+    assert H.min_degree(2) == 0  # no pair to take a minimum over
+    assert Hypergraph3(0, []).min_degree(1) == 0
+    for s in (0, 3):
+        with pytest.raises(InvalidArgumentError):
+            complete_3graph(4).min_degree(s)
 
 
 def test_link_graph_k4():
@@ -119,7 +117,7 @@ def test_link_graph_extremal_b_vertex():
     inst = extremal(9, 2)
     for v in inst.b_side[:2]:
         L = inst.hypergraph.link_graph(v)
-        assert len(L.edges) == inst.hypergraph.degree([v]) == 13
+        assert len(L.edges) == inst.hypergraph.degrees[v] == 13
 
 
 def test_construction_rejects_bad_edges():
@@ -177,9 +175,6 @@ def test_write_read_byte_identical():
     H = complete_3graph(5)
     text = write_hypergraph(H)
     assert write_hypergraph(read_hypergraph(text)) == text
-    buf = io.StringIO()
-    write_hypergraph(H, buf)
-    assert buf.getvalue() == text
 
 
 def test_roundtrip_random_instances():
@@ -204,18 +199,22 @@ def test_graph_roundtrip():
 def test_handshake_and_link_consistency(n, seed):
     rng = random.Random(seed)
     H = random_3graph(n, rng.uniform(0, 1), seed)
-    degsum = sum(H.degree([v]) for v in H.vertices())
+    degsum = sum(H.degrees)
     assert degsum == 3 * len(H.edges)
     if H.n > 0:
         assert H.min_degree(1) * H.n <= 3 * len(H.edges)
     v = rng.randint(1, n)
     L = H.link_graph(v)
-    assert len(L.edges) == H.degree([v])
+    assert len(L.edges) == H.degrees[v]
     for u, w in itertools.combinations(range(1, n + 1), 2):
         assert ((u, w) in L) == ((u, v, w) in H)
 
 
-def test_pair_index_matches_pair_degree():
-    H = random_3graph(9, 0.5, 99)
-    for pair, edges in H.pair_index.items():
-        assert len(edges) == H.degree(pair)
+def test_completions_match_brute_force():
+    for H in _degree_hosts():
+        comp = H.completions
+        assert len(comp) == H.n + 1 and all(len(row) == H.n + 1 for row in comp)
+        assert not any(comp[0]) and not any(row[0] for row in comp)
+        for a, b in itertools.product(H.vertices(), repeat=2):
+            thirds = {c for c in H.vertices() if len({a, b, c}) == 3 and (a, b, c) in H}
+            assert comp[a][b] == comp[b][a] == sum(1 << (c - 1) for c in thirds)

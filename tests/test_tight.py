@@ -9,7 +9,7 @@ from tightcycle.hypergraph import Edge3, Hypergraph3, complete_3graph
 from tightcycle.matching import connected_components, largest_component
 from tightcycle.tight import component_star, is_tightly_connected, tight_components
 
-from test_tight_equivalence import naive_tight_components
+from test_tight_equivalence import naive_tight_components, pair_groups
 
 
 def tight_walk(H: Hypergraph3, start: Edge3, goal: Edge3) -> list[Edge3] | None:
@@ -25,7 +25,7 @@ def tight_walk(H: Hypergraph3, start: Edge3, goal: Edge3) -> list[Edge3] | None:
         raise InvalidArgumentError("walk endpoints must be edges of H")
     if start == goal:
         return [start]
-    pidx = H.pair_index
+    pidx = pair_groups(H)
     parent: dict[Edge3, Edge3] = {start: start}
     queue = deque([start])
     while queue:

@@ -2,10 +2,11 @@
 
 `_edge_union_find` is the earlier `tight.tight_components`, kept here as the
 oracle: a union-find over edge indices that joins the edges of each
-`pair_index` group.  On a seeded corpus the current labeling must be `==`
+`pair_groups` group.  On a seeded corpus the current labeling must be `==`
 to it and to `naive_tight_components`, a quadratic pairwise BFS, with the
 same dict order (canonical edge order), so every caller sees the same
-component ids.  `test_tight.py` imports `naive_tight_components` from here.
+component ids.  `test_tight.py` imports `naive_tight_components` and
+`pair_groups` from here.
 """
 
 from __future__ import annotations
@@ -43,11 +44,22 @@ class _UnionFind:
         return ra
 
 
+def pair_groups(H: Hypergraph3) -> dict[tuple[int, int], list[Edge3]]:
+    """Each pair that lies in an edge -> the edges containing it, in
+    canonical edge order."""
+    groups: dict[tuple[int, int], list[Edge3]] = {}
+    for e in H.edges:
+        a, b, c = e
+        for pair in ((a, b), (a, c), (b, c)):
+            groups.setdefault(pair, []).append(e)
+    return groups
+
+
 def _edge_union_find(H: Hypergraph3) -> TightComponentLabeling:
     m = len(H.edges)
     index = {e: i for i, e in enumerate(H.edges)}
     uf = _UnionFind(m)
-    for group in H.pair_index.values():
+    for group in pair_groups(H).values():
         first = index[group[0]]
         for other in group[1:]:
             uf.union(first, index[other])
