@@ -23,7 +23,6 @@ from .hypergraph import (
 from .tight import (
     TightComponentLabeling,
     component_star,
-    is_tightly_connected,
     tight_components,
 )
 from .matching import (

@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import partial
 from math import comb
 
-from .cycles import brute_force_longest_cycle, longest_tight_cycle
+from .cycles import DP_MAX_N, brute_force_longest_cycle, longest_tight_cycle
 from .errors import GenerationError, InvalidArgumentError, InvariantViolation, TclError
 from .fractional import (
     FarkasCertificate,
@@ -402,7 +402,10 @@ def run_extremal_bound_campaign(max_n: int) -> CampaignResult:
     """Exact reproduction of the extremal family facts for all n <= max_n:
     the min-degree formula for every a and, for n >= 4, the longest tight
     cycle: none when a = 1, length 3a when 3a <= n, Hamilton length n when
-    3a > n."""
+    3a > n.  max_n is checked against the DP's limit before any work."""
+    if max_n > DP_MAX_N:
+        raise InvalidArgumentError(
+            f"extremal-bound runs the exact cycle DP, which needs max_n <= {DP_MAX_N}, got {max_n}")
     result = CampaignResult(name="extremal-bound", trials=0, stats={})
     checked = 0
     cycles_checked = 0

@@ -190,6 +190,12 @@ def _parse_exact(text: str, option: str) -> Fraction:
         raise TclError(f"{option} {text!r} is not a rational or a decimal")
 
 
+def _report(payload: dict, fmt: str, ok: bool = True) -> int:
+    """Print a report; exit 0, or 1 when its verdict is false."""
+    _emit(payload, fmt)
+    return EXIT_OK if ok else EXIT_VERDICT_FALSE
+
+
 def cmd_info(args) -> int:
     H = read_hypergraph(_read_source(args.file))
     lab = tight_components(H)
@@ -202,8 +208,7 @@ def cmd_info(args) -> int:
         "tight_components": lab.component_count,
         "tightly_connected": lab.component_count == 1,
     }
-    _emit(payload, args.format)
-    return EXIT_OK
+    return _report(payload, args.format)
 
 
 def cmd_link(args) -> int:
@@ -220,15 +225,13 @@ def cmd_components(args) -> int:
         "component_sizes": list(lab.component_sizes),
         "labels": [{"e": e, "c": c} for e, c in lab.labels.items()],
     }
-    _emit(payload, args.format)
-    return EXIT_OK
+    return _report(payload, args.format)
 
 
 def cmd_match(args) -> int:
     G = read_graph(_read_source(args.file))
     mm = max_matching(G)
-    _emit({"size": mm.size, "pairs": list(mm.pairs)}, args.format)
-    return EXIT_OK
+    return _report({"size": mm.size, "pairs": list(mm.pairs)}, args.format)
 
 
 def cmd_egcheck(args) -> int:
@@ -246,16 +249,14 @@ def cmd_egcheck(args) -> int:
         guaranteed = not above or nu >= k
         ok = ok and guaranteed
         rows.append({"k": k, "threshold": thr, "edges_above": above, "matching_ok": guaranteed})
-    _emit({"n": G.n, "edges": e, "matching_number": nu, "checks": rows}, args.format)
-    return EXIT_OK if ok else EXIT_VERDICT_FALSE
+    return _report({"n": G.n, "edges": e, "matching_number": nu, "checks": rows}, args.format, ok)
 
 
 def cmd_graphmeet(args) -> int:
     G1 = read_graph(_read_source(args.file1))
     G2 = read_graph(_read_source(args.file2))
     report = graphmeet_verify(G1, G2, observe=args.observe)
-    _emit(report.to_json_dict(), args.format)
-    return EXIT_OK if report.all_verdicts() else EXIT_VERDICT_FALSE
+    return _report(report.to_json_dict(), args.format, report.all_verdicts())
 
 
 def cmd_fracmatch(args) -> int:
@@ -267,25 +268,20 @@ def cmd_fracmatch(args) -> int:
         "subgraph_min_degree": result.subgraph_min_degree,
         "matching": result.matching.to_json_dict(),
     }
-    _emit(payload, args.format)
-    return EXIT_OK
+    return _report(payload, args.format)
 
 
-def cmd_maxmatch(args) -> int:
+def cmd_maxfrac(args) -> int:
     H = read_hypergraph(_read_source(args.file))
     fm = max_fractional_matching(H, restrict_to=args.component)
-    _emit(fm.to_json_dict(), args.format)
-    return EXIT_OK
+    return _report(fm.to_json_dict(), args.format)
 
 
 def cmd_cycle(args) -> int:
     H = read_hypergraph(_read_source(args.file))
     cycle = longest_tight_cycle(H)
-    if cycle is None:
-        _emit({"cycle": None, "length": 0}, args.format)
-    else:
-        _emit(cycle.to_json_dict(), args.format)
-    return EXIT_OK
+    payload = {"cycle": None, "length": 0} if cycle is None else cycle.to_json_dict()
+    return _report(payload, args.format)
 
 
 def cmd_validate(args) -> int:
@@ -295,8 +291,7 @@ def cmd_validate(args) -> int:
     except ValueError:
         raise TclError(f"sequence {args.sequence!r} is not a list of integers")
     check = validate_cycle(H, seq)
-    _emit(check.to_json_dict(), args.format)
-    return EXIT_OK if check.valid else EXIT_VERDICT_FALSE
+    return _report(check.to_json_dict(), args.format, check.valid)
 
 
 def cmd_extremal(args) -> int:
@@ -331,8 +326,7 @@ def cmd_random(args) -> int:
 def cmd_slice(args) -> int:
     H = read_hypergraph(_read_source(args.file))
     S = build_weak_slice(H, args.t, _default_seed(args.seed))
-    _emit(S.to_json_dict(), args.format)
-    return EXIT_OK
+    return _report(S.to_json_dict(), args.format)
 
 
 def cmd_reduce(args) -> int:
@@ -342,8 +336,7 @@ def cmd_reduce(args) -> int:
     # seeded as the reduce stage of `tcl pipeline --seed`
     d, eps = _parse_exact(args.d, "--d"), _parse_exact(args.eps, "--eps")
     R = build_reduced_graph(H, S, d, eps, args.samples, derive_seed(seed, 1))
-    _emit(R.to_json_dict(), args.format)
-    return EXIT_OK
+    return _report(R.to_json_dict(), args.format)
 
 
 def cmd_pipeline(args) -> int:
@@ -351,11 +344,10 @@ def cmd_pipeline(args) -> int:
     seed = _default_seed(args.seed)
     d, eps = _parse_exact(args.d, "--d"), _parse_exact(args.eps, "--eps")
     report = run_pipeline(H, args.t, d, eps, args.samples, seed)
-    if args.canonical:
+    if args.canonical:  # compact JSON, not a --format report
         print(report.canonical_json())
-    else:
-        _emit(report.to_json_dict(include_timings=True), args.format)
-    return EXIT_OK if report.ok else EXIT_VERDICT_FALSE
+        return EXIT_OK if report.ok else EXIT_VERDICT_FALSE
+    return _report(report.to_json_dict(include_timings=True), args.format, report.ok)
 
 
 # `tcl verify` campaign name -> (the campaign options it reads with their
@@ -405,8 +397,7 @@ def cmd_verify(args) -> int:
     if args.jobs < 1:
         raise TclError(f"--jobs must be >= 1, got {args.jobs}")
     result = run(args, _default_seed(args.seed))
-    _emit(result.to_json_dict(), args.format)
-    return EXIT_OK if result.passed else EXIT_VERDICT_FALSE
+    return _report(result.to_json_dict(), args.format, result.passed)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -416,49 +407,57 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, help_, report=True):
-        """A subcommand; one that prints a report takes --format."""
+    def add(name, fn, help_, *positionals, report=True):
+        """A subcommand with its file arguments; one that prints a report
+        takes --format."""
         p = sub.add_parser(name, help=help_)
         p.set_defaults(fn=fn)
+        for dest in positionals:
+            p.add_argument(dest)
         if report:
             p.add_argument("--format", default="json", choices=("json", "text", "csv"))
         return p
 
-    p = add("info", cmd_info, "summary statistics of a .3g file")
-    p.add_argument("file")
+    def stage(name, fn, help_, reduces=True):
+        """A command that runs pipeline stages on a .3g file.  The slice
+        reads --t and --seed, a reduction also --d, --eps and --samples;
+        they are declared here once, so the commands agree."""
+        p = add(name, fn, help_, "file")
+        p.add_argument("--t", type=int, default=DEFAULT_T)
+        if reduces:
+            p.add_argument("--d", default=str(DEFAULT_D),
+                           help="density threshold (rational or decimal, read exactly)")
+            p.add_argument("--eps", default=str(DEFAULT_EPS),
+                           help="regularity eps (rational or decimal, read exactly)")
+            p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
+        p.add_argument("--seed", type=int)
+        return p
 
-    p = add("link", cmd_link, "emit the link graph of a vertex as .2g", report=False)
-    p.add_argument("file")
+    add("info", cmd_info, "summary statistics of a .3g file", "file")
+
+    p = add("link", cmd_link, "emit the link graph of a vertex as .2g", "file", report=False)
     p.add_argument("vertex", type=int)
 
-    p = add("components", cmd_components, "tight-component labeling of a .3g file")
-    p.add_argument("file")
+    add("components", cmd_components, "tight-component labeling of a .3g file", "file")
 
-    p = add("match", cmd_match, "maximum matching of a .2g file")
-    p.add_argument("file")
+    add("match", cmd_match, "maximum matching of a .2g file", "file")
 
-    p = add("egcheck", cmd_egcheck, "matching-threshold check on a .2g file")
-    p.add_argument("file")
+    p = add("egcheck", cmd_egcheck, "matching-threshold check on a .2g file", "file")
     p.add_argument("--k", type=int, help="check this k only (default or 0: every k with n >= 2k-1)")
 
-    p = add("graphmeet", cmd_graphmeet, "dense-pair component verifier on two .2g files")
-    p.add_argument("file1")
-    p.add_argument("file2")
+    p = add("graphmeet", cmd_graphmeet, "dense-pair component verifier on two .2g files",
+            "file1", "file2")
     p.add_argument("--observe", action="store_true",
                    help="run despite failed preconditions and flag the report")
 
-    p = add("fracmatch", cmd_fracmatch, "tightly-connected perfect fractional matching")
-    p.add_argument("file")
+    add("fracmatch", cmd_fracmatch, "tightly-connected perfect fractional matching", "file")
 
-    p = add("maxfrac", cmd_maxmatch, "maximum fractional matching (optionally restricted)")
-    p.add_argument("file")
+    p = add("maxfrac", cmd_maxfrac, "maximum fractional matching (optionally restricted)", "file")
     p.add_argument("--component", type=int, default=None)
 
-    p = add("cycle", cmd_cycle, "exact longest tight cycle (n <= 22)")
-    p.add_argument("file")
+    add("cycle", cmd_cycle, "exact longest tight cycle (n <= 22)", "file")
 
-    p = add("validate", cmd_validate, "validate a vertex sequence as a tight cycle")
-    p.add_argument("file")
+    p = add("validate", cmd_validate, "validate a vertex sequence as a tight cycle", "file")
     p.add_argument("sequence", help="comma- or space-separated vertices")
 
     p = add("extremal", cmd_extremal, "emit the extremal instance as .3g", report=False)
@@ -473,26 +472,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta-target", type=int, dest="delta_target")
     p.add_argument("--max-attempts", type=int, default=1000, dest="max_attempts")
 
-    p = add("slice", cmd_slice, "seeded weak slice of a .3g file")
-    p.add_argument("file")
-    p.add_argument("--t", type=int, default=DEFAULT_T)
-    p.add_argument("--seed", type=int)
-
-    p = add("reduce", cmd_reduce, "reduced graph with densities and labels")
-    p.add_argument("file")
-    p.add_argument("--t", type=int, default=DEFAULT_T)
-    p.add_argument("--d", default=str(DEFAULT_D), help="density threshold (rational or decimal, read exactly)")
-    p.add_argument("--eps", default=str(DEFAULT_EPS), help="regularity eps (rational or decimal, read exactly)")
-    p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
-    p.add_argument("--seed", type=int)
-
-    p = add("pipeline", cmd_pipeline, "full reduction pipeline with staged report")
-    p.add_argument("file")
-    p.add_argument("--t", type=int, default=DEFAULT_T)
-    p.add_argument("--d", default=str(DEFAULT_D))
-    p.add_argument("--eps", default=str(DEFAULT_EPS))
-    p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
-    p.add_argument("--seed", type=int)
+    stage("slice", cmd_slice, "seeded weak slice of a .3g file", reduces=False)
+    stage("reduce", cmd_reduce, "reduced graph with densities and labels")
+    p = stage("pipeline", cmd_pipeline, "full reduction pipeline with staged report")
     p.add_argument("--canonical", action="store_true",
                    help="emit the compact timing-free canonical report")
 

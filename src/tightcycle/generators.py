@@ -101,6 +101,8 @@ def random_min_degree_3graph(
     Near-threshold targets can reject a lot; after max_attempts the sampler
     raises GenerationError carrying the best minimum degree it saw.
     """
+    if max_attempts < 1:
+        raise InvalidArgumentError(f"max_attempts must be >= 1, got {max_attempts}")
     if n >= 1 and delta_target > comb(n - 1, 2):
         raise InvalidArgumentError(
             f"delta_target {delta_target} exceeds C({n - 1},2) = {comb(n - 1, 2)}"

@@ -1,13 +1,17 @@
 """Core 3-uniform hypergraph and graph types, degrees, link graphs, text I/O.
 
-Vertices are dense 1-based integers.  Edges are stored as ascending tuples
-and the edge set is hashed, so membership tests are O(1).  Both types are
-immutable by convention after construction and safe to share across workers.
+A 3-graph H and the link graphs of its vertices, which are 2-graphs on the
+same vertex set, share one k-uniform body, with the arity k a class
+attribute.  Vertices are dense 1-based integers.  Edges are stored as
+ascending tuples and the edge set is hashed, so membership tests are O(1).
+Both types are immutable by convention after construction and safe to share
+across workers.
 
-A 3-graph builds two indices lazily: `degrees`, and `completions`, its one
-pair table, which holds for each pair {a, b} the bitmask of the c with abc
-an edge (a codegree is its popcount).  `link_graph` scans the edges instead:
-one link graph of a fresh host costs less than building the table.
+Indices are cached properties, built on first use: a 3-graph's `degrees`,
+and `completions`, its one pair table, which holds for each pair {a, b} the
+bitmask of the c with abc an edge (a codegree is its popcount); a graph's
+`adjacency`.  `link_graph` scans the edges instead: one link graph of a
+fresh host costs less than building the table.
 
 Edges are checked in one place, `_canonical_edges`, which both constructors
 call: arity, distinct vertices, range [1, n] and duplicates.  The text
@@ -18,6 +22,7 @@ edges to the constructor, so a file obeys the same rules as an edge list.
 from __future__ import annotations
 
 import itertools
+from functools import cached_property
 from math import comb
 from typing import Iterable
 
@@ -51,17 +56,10 @@ def _canonical_edges(n: int, edges: Iterable[Iterable[int]], k: int) -> tuple[tu
     return tuple(out), frozenset(seen)
 
 
-class Hypergraph3:
-    """A 3-uniform hypergraph on vertex set {1, ..., n}."""
+class _KUniform:
+    """What a 3-graph and a graph share: k-edges on vertex set {1, ..., n}."""
 
-    def __init__(self, n: int, edges: Iterable[Iterable[int]]):
-        self.edges, self.edge_set = _canonical_edges(n, edges, 3)
-        self.n = n
-        self._degrees: tuple[int, ...] | None = None
-        self._completions: list[list[int]] | None = None
-        self._tight_labeling = None  # kept by tight.tight_components
-
-    # -- basic counts -------------------------------------------------
+    k: int  # the arity, set by each subclass
 
     def vertices(self) -> range:
         return range(1, self.n + 1)
@@ -70,44 +68,45 @@ class Hypergraph3:
         return tuple(sorted(e)) in self.edge_set
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Hypergraph3)
-            and self.n == other.n
-            and self.edges == other.edges
-        )
+        return isinstance(other, type(self)) and self.n == other.n and self.edges == other.edges
 
     def __hash__(self) -> int:
         return hash((self.n, self.edges))
 
     def __repr__(self) -> str:
-        return f"Hypergraph3(n={self.n}, e={len(self.edges)})"
+        return f"{type(self).__name__}(n={self.n}, e={len(self.edges)})"
 
-    # -- degrees ------------------------------------------------------
 
-    @property
+class Hypergraph3(_KUniform):
+    """A 3-uniform hypergraph on vertex set {1, ..., n}."""
+
+    k = 3
+
+    def __init__(self, n: int, edges: Iterable[Iterable[int]]):
+        self.edges, self.edge_set = _canonical_edges(n, edges, self.k)
+        self.n = n
+        self._tight_labeling = None  # kept by tight.tight_components
+
+    @cached_property
     def degrees(self) -> tuple[int, ...]:
         """Vertex degrees indexed by vertex; entry 0 is an unused 0."""
-        if self._degrees is None:
-            degs = [0] * (self.n + 1)
-            for e in self.edges:
-                for v in e:
-                    degs[v] += 1
-            self._degrees = tuple(degs)
-        return self._degrees
+        degs = [0] * (self.n + 1)
+        for e in self.edges:
+            for v in e:
+                degs[v] += 1
+        return tuple(degs)
 
-    @property
+    @cached_property
     def completions(self) -> list[list[int]]:
         """Codegrees as bitmasks: completions[a][b] == completions[b][a] has
         bit c-1 set exactly when {a, b, c} is an edge; rows and columns run
         0..n, and row and column 0 are zero."""
-        if self._completions is None:
-            comp = [[0] * (self.n + 1) for _ in range(self.n + 1)]
-            for a, b, c in self.edges:
-                comp[a][b] = comp[b][a] = comp[a][b] | 1 << (c - 1)
-                comp[a][c] = comp[c][a] = comp[a][c] | 1 << (b - 1)
-                comp[b][c] = comp[c][b] = comp[b][c] | 1 << (a - 1)
-            self._completions = comp
-        return self._completions
+        comp = [[0] * (self.n + 1) for _ in range(self.n + 1)]
+        for a, b, c in self.edges:
+            comp[a][b] = comp[b][a] = comp[a][b] | 1 << (c - 1)
+            comp[a][c] = comp[c][a] = comp[a][c] | 1 << (b - 1)
+            comp[b][c] = comp[c][b] = comp[b][c] | 1 << (a - 1)
+        return comp
 
     def min_degree(self, s: int = 1) -> int:
         """Minimum number of edges containing an s-subset of the vertex set,
@@ -135,43 +134,23 @@ class Hypergraph3:
         return Graph(self.n, pairs)
 
 
-class Graph:
+class Graph(_KUniform):
     """A simple graph on vertex set {1, ..., n}."""
 
+    k = 2
+
     def __init__(self, n: int, edges: Iterable[Iterable[int]]):
-        self.edges, self.edge_set = _canonical_edges(n, edges, 2)
+        self.edges, self.edge_set = _canonical_edges(n, edges, self.k)
         self.n = n
-        self._adj: dict[int, tuple[int, ...]] | None = None
 
-    def vertices(self) -> range:
-        return range(1, self.n + 1)
-
-    @property
+    @cached_property
     def adjacency(self) -> dict[int, tuple[int, ...]]:
-        if self._adj is None:
-            adj: dict[int, list[int]] = {v: [] for v in range(1, self.n + 1)}
-            for u, w in self.edges:
-                adj[u].append(w)
-                adj[w].append(u)
-            self._adj = {v: tuple(sorted(ns)) for v, ns in adj.items()}
-        return self._adj
-
-    def degree(self, v: int) -> int:
-        if not 1 <= v <= self.n:
-            raise InvalidArgumentError(f"vertex {v} not inside [1, {self.n}]")
-        return len(self.adjacency[v])
-
-    def __contains__(self, e) -> bool:
-        return tuple(sorted(e)) in self.edge_set
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Graph) and self.n == other.n and self.edges == other.edges
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.edges))
-
-    def __repr__(self) -> str:
-        return f"Graph(n={self.n}, e={len(self.edges)})"
+        """The sorted neighbours of each vertex."""
+        adj: dict[int, list[int]] = {v: [] for v in range(1, self.n + 1)}
+        for u, w in self.edges:
+            adj[u].append(w)
+            adj[w].append(u)
+        return {v: tuple(sorted(ns)) for v, ns in adj.items()}
 
 
 def complete_3graph(n: int) -> Hypergraph3:
@@ -198,13 +177,14 @@ def density(H: Hypergraph3):
 # ---------------------------------------------------------------------------
 
 
-def _read(text: str, cls, k: int):
-    """Parse a ".3g" (k = 3) or ".2g" (k = 2) document into cls(n, edges).
+def _read(text: str, cls):
+    """Parse a ".3g" or ".2g" document into cls(n, edges), k = cls.k.
 
     Only the header and the tokens of each line are checked here; the edges
     go lazily into the constructor, whose errors become a ParseError on the
     line of the edge it was checking.
     """
+    k = cls.k
     lines = enumerate(text.splitlines(), start=1)
     n = None
     for lineno, raw in lines:
@@ -244,28 +224,28 @@ def _read(text: str, cls, k: int):
         raise ParseError(str(exc), current) from None
 
 
-def _write(k: int, n: int, edges: Iterable[tuple[int, ...]]) -> str:
+def _write(G: _KUniform) -> str:
     """Header "k n", then one edge per line."""
-    row = " ".join(["%s"] * k)
-    lines = [f"{k} {n}"]
-    lines.extend(row % e for e in edges)
+    row = " ".join(["%s"] * G.k)
+    lines = [f"{G.k} {G.n}"]
+    lines.extend(row % e for e in G.edges)
     return "\n".join(lines) + "\n"
 
 
 def read_hypergraph(text: str) -> Hypergraph3:
     """Parse a ".3g" document."""
-    return _read(text, Hypergraph3, 3)
+    return _read(text, Hypergraph3)
 
 
 def write_hypergraph(H: Hypergraph3) -> str:
     """Serialize H canonically (header plus ascending edges)."""
-    return _write(3, H.n, H.edges)
+    return _write(H)
 
 
 def read_graph(text: str) -> Graph:
     """Parse a ".2g" document."""
-    return _read(text, Graph, 2)
+    return _read(text, Graph)
 
 
 def write_graph(G: Graph) -> str:
-    return _write(2, G.n, G.edges)
+    return _write(G)

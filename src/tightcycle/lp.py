@@ -24,6 +24,13 @@ entering edge is the sum of three columns of A.  Bland's smallest-index
 rule (edges in canonical order, then slacks) guarantees termination and
 makes the pivot sequence, hence the returned optimum, deterministic.
 
+Only the rows of vertices that some column touches are kept.  The row of
+an untouched vertex never changes: its slack stays basic with value 1, its
+multiplier stays 0, and its entry of every entering column is 0.  So the
+basis inverse is t x t for the t touched vertices, kept in increasing
+order so that Bland's rule sees the variables in the same order, and each
+untouched vertex gets a zero dual.
+
 The all-slack basis is feasible (b = 1 >= 0), so no phase one is needed,
 and the optimum is bounded above by n/3.  This is the package's only LP
 solver and it has no size cap: every optimum, at every n, is exact.
@@ -51,15 +58,20 @@ def solve_matching_lp(n: int, columns: Sequence[tuple[int, ...]]) -> LPResult:
 
     `columns` lists the admissible edges as sorted vertex triples over
     [1, n]; the variable order is the given column order followed by the
-    n slack variables.
+    slack variables of the touched vertices, in increasing order.
     """
     m = len(columns)
-    rows_of = [(a - 1, b - 1, c - 1) for a, b, c in columns]
-    A = [[int(i == r) for i in range(n)] for r in range(n)]  # det * B^-1
-    X = [1] * n  # det * x_B
-    ys = [0] * n  # det * y, where y = c_B B^-1 (edge cost 1, slack cost 0)
+    touched = sorted(set().union(*columns))
+    n_rows = len(touched)
+    row_of = [0] * (n + 1)  # by vertex; a list reads faster than a dict
+    for r, v in enumerate(touched):
+        row_of[v] = r
+    rows_of = [(row_of[a], row_of[b], row_of[c]) for a, b, c in columns]
+    A = [[int(i == r) for i in range(n_rows)] for r in range(n_rows)]  # det * B^-1
+    X = [1] * n_rows  # det * x_B
+    ys = [0] * n_rows  # det * y, where y = c_B B^-1 (edge cost 1, slack cost 0)
     det = 1
-    basis = list(range(m, m + n))  # slack of row r
+    basis = list(range(m, m + n_rows))  # slack of row r
     iterations = 0
 
     while True:
@@ -72,7 +84,7 @@ def solve_matching_lp(n: int, columns: Sequence[tuple[int, ...]]) -> LPResult:
                 enter = j
                 break
         if enter < 0:
-            for i in range(n):
+            for i in range(n_rows):
                 if ys[i] < 0:
                     enter = m + i
                     rc = -ys[i]
@@ -80,14 +92,17 @@ def solve_matching_lp(n: int, columns: Sequence[tuple[int, ...]]) -> LPResult:
         if enter < 0:
             weights: dict[tuple[int, ...], Fraction] = {}
             total = 0
-            for r in range(n):
+            for r in range(n_rows):
                 if basis[r] < m and X[r]:
                     weights[tuple(columns[basis[r]])] = Fraction(X[r], det)
                     total += X[r]
+            dual = [Fraction(0)] * n
+            for v, s in zip(touched, ys):
+                dual[v - 1] = Fraction(s, det)
             return LPResult(
                 value=Fraction(total, det),
                 weights=weights,
-                dual=tuple(Fraction(s, det) for s in ys),
+                dual=tuple(dual),
                 iterations=iterations,
             )
 
@@ -101,7 +116,7 @@ def solve_matching_lp(n: int, columns: Sequence[tuple[int, ...]]) -> LPResult:
         # ratio test X_r / D_r over D_r > 0, cross-multiplied; ties go to
         # the smallest basic variable
         leave = -1
-        for r in range(n):
+        for r in range(n_rows):
             if D[r] > 0:
                 if leave < 0:
                     leave = r
@@ -121,7 +136,7 @@ def solve_matching_lp(n: int, columns: Sequence[tuple[int, ...]]) -> LPResult:
         px = X[leave]
         # y moves by (reduced cost / d_l) times row l of B^-1
         ys = [(piv * s + rc * p) // det for s, p in zip(ys, prow)]
-        for r in range(n):
+        for r in range(n_rows):
             if r == leave:
                 continue
             dr = D[r]

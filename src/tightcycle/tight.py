@@ -65,15 +65,6 @@ def tight_components(H: Hypergraph3) -> TightComponentLabeling:
     return H._tight_labeling
 
 
-def is_tightly_connected(H: Hypergraph3) -> bool:
-    """True iff H has exactly one tight component.
-
-    An empty edge set yields False; callers that need to distinguish the
-    empty case should inspect tight_components(H).component_count == 0.
-    """
-    return tight_components(H).component_count == 1
-
-
 def component_star(
     H: Hypergraph3,
     u: int,

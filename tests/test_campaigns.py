@@ -1,6 +1,7 @@
 import pytest
 
 from tightcycle import campaigns
+from tightcycle.errors import InvalidArgumentError
 
 
 def test_fracmatch_campaign_above_thirty_vertices():
@@ -44,6 +45,15 @@ def test_pool_size_is_bounded(monkeypatch, jobs, trials, cpus, workers):
     pooled = campaigns.run_reduced_degree_campaign(trials, 7, jobs=jobs)
     assert RecordingPool.sizes == ([] if workers is None else [workers])
     assert pooled.to_json_dict() == serial.to_json_dict()
+
+
+def test_extremal_bound_refuses_max_n_above_the_dp_limit_before_any_work(monkeypatch):
+    def no_cycle_search(H):
+        raise AssertionError("longest_tight_cycle was called")
+
+    monkeypatch.setattr(campaigns, "longest_tight_cycle", no_cycle_search)
+    with pytest.raises(InvalidArgumentError, match="max_n <= 22, got 23"):
+        campaigns.run_extremal_bound_campaign(23)
 
 
 def test_instance_fingerprint_tracks_the_drawn_instances():

@@ -244,6 +244,25 @@ def test_pipeline_canonical_is_run_pipeline(capsys, tmp_path, seed):
     assert out == report.canonical_json() + "\n"
 
 
+def test_stage_options_agree_across_commands():
+    """slice, reduce and pipeline read the same stage options; each option
+    has one default and one help text wherever it is declared."""
+    import argparse
+
+    from tightcycle.cli import build_parser
+
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+
+    def declared(command):
+        return {a.option_strings[0]: (a.default, a.help)
+                for a in sub.choices[command]._actions if a.option_strings}
+
+    for option, commands in ((("--t", "--seed"), ("slice", "reduce", "pipeline")),
+                             (("--d", "--eps", "--samples"), ("reduce", "pipeline"))):
+        for name in option:
+            assert len({declared(c)[name] for c in commands}) == 1, name
+
+
 def test_pipeline_has_no_restarts_option(capsys, k5_file):
     with pytest.raises(SystemExit) as exc:
         main(["pipeline", k5_file, "--restarts", "3"])
@@ -308,6 +327,7 @@ BAD_INPUT_CASES = [
     ("verify-cycle-oracle-max-n-above", ["verify", "cycle-oracle", "--trials", "3", "--max-n", "10"], {}, None),
     ("verify-erdos-gallai-max-n", ["verify", "erdos-gallai", "--trials", "3", "--max-n", "1"], {}, None),
     ("verify-exhaustive-n", ["verify", "erdos-gallai", "--trials", "3", "--exhaustive-n", "8"], {}, None),
+    ("verify-extremal-bound-max-n-above", ["verify", "extremal-bound", "--max-n", "23"], {}, None),
     ("verify-extremal-bound-trials-jobs", ["verify", "extremal-bound", "--max-n", "5", "--jobs", "-3"], {}, None),
     ("verify-pipeline-negative-trials", ["verify", "pipeline", "--n", "18", "--trials", "-1"], {}, None),
     ("verify-pipeline-zero-jobs", ["verify", "pipeline", "--n", "18", "--jobs", "0"], {}, None),

@@ -91,3 +91,8 @@ def test_degree_conditioned_sampler_failure_report():
 def test_degree_target_validated():
     with pytest.raises(InvalidArgumentError):
         random_min_degree_3graph(12, comb(11, 2) + 1, seed=1)
+
+
+def test_degree_conditioned_sampler_needs_an_attempt():
+    with pytest.raises(InvalidArgumentError, match="max_attempts must be >= 1, got 0"):
+        random_min_degree_3graph(4, 1, seed=1, max_attempts=0)

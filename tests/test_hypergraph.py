@@ -104,7 +104,7 @@ def test_link_graph_k4():
     L = K4.link_graph(1)
     assert L.n == 4  # the vertex stays, isolated
     assert L.edge_set == {(2, 3), (2, 4), (3, 4)}
-    assert L.degree(1) == 0
+    assert L.adjacency[1] == ()
 
 
 def test_link_graph_isolated():

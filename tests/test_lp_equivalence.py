@@ -125,6 +125,10 @@ def _corpus() -> list[tuple[str, int, list[tuple[int, ...]]]]:
         # the smallest host whose Bland path enters a slack (y_i < 0)
         ("slack-entering", 5, [(1, 2, 3), (2, 4, 5), (3, 4, 5)]),
         ("random-6-0.2-133", 6, list(random_3graph(6, 0.2, 133).edges)),
+        # vertices 3, 5, 6 and 9 lie in no column: the integer solver drops their rows
+        ("isolated-vertices", 9, [(2, 4, 7), (4, 7, 8), (2, 7, 8), (1, 4, 8)]),
+        ("spread-19-0.5-7", 19,
+         [(2 * a, 2 * b, 2 * c) for a, b, c in random_3graph(9, 0.5, 7).edges]),
     ]
     for n, a in ((9, 2), (12, 3), (15, 4), (21, 4), (24, 6)):
         cases.append((f"extremal-{n}-{a}", n, list(extremal(n, a).hypergraph.edges)))
@@ -150,6 +154,23 @@ CORPUS = _corpus()
 @pytest.mark.parametrize("n,columns", [c[1:] for c in CORPUS], ids=[c[0] for c in CORPUS])
 def test_integer_simplex_equals_fraction_simplex(n, columns):
     assert solve_matching_lp(n, columns) == _fraction_simplex(n, columns, Counter())
+
+
+def test_sparse_host_allocates_only_touched_rows():
+    """Two edges on 3000 vertices: a dense basis inverse would hold 9e6
+    entries (over 70 MB); the solver keeps the six touched rows."""
+    import tracemalloc
+
+    n = 3000
+    tracemalloc.start()
+    try:
+        result = solve_matching_lp(n, [(1, 2, 3), (n - 2, n - 1, n)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert result.value == 2 and result.iterations == 2
+    assert result.dual == tuple(Fraction(int(v in (1, n - 2)), 1) for v in range(1, n + 1))
 
 
 def test_corpus_reaches_ratio_ties_and_slack_pivots():

@@ -4,10 +4,10 @@ from collections import deque
 import pytest
 
 from tightcycle.errors import InvalidArgumentError
-from tightcycle.generators import extremal, random_3graph
+from tightcycle.generators import random_3graph
 from tightcycle.hypergraph import Edge3, Hypergraph3, complete_3graph
 from tightcycle.matching import connected_components, largest_component
-from tightcycle.tight import component_star, is_tightly_connected, tight_components
+from tightcycle.tight import component_star, tight_components
 
 from test_tight_equivalence import naive_tight_components, pair_groups
 
@@ -69,13 +69,6 @@ def test_labels_are_contiguous_and_total():
     assert set(lab.labels) == set(H.edges)
     assert sorted(set(lab.labels.values())) == list(range(lab.component_count))
     assert sum(lab.component_sizes) == len(H.edges)
-
-
-def test_is_tightly_connected():
-    assert is_tightly_connected(complete_3graph(4))
-    assert not is_tightly_connected(Hypergraph3(6, [(1, 2, 3), (4, 5, 6)]))
-    assert not is_tightly_connected(Hypergraph3(5, []))  # empty reported as False
-    assert is_tightly_connected(extremal(9, 2).hypergraph)
 
 
 def test_edges_sharing_two_vertices_share_label():
