@@ -98,16 +98,23 @@ def _map_trials(worker, trials: int, jobs: int) -> list:
         return list(pool.map(worker, range(trials), chunksize=chunk))
 
 
+def _check_trials(trials: int, jobs: int) -> None:
+    if trials < 0 or jobs < 1:
+        raise InvalidArgumentError(f"need trials >= 0 and jobs >= 1, got {trials} and {jobs}")
+
+
+def _check_n(n: int, least: int) -> None:
+    if n < least or n % 3 != 0:
+        raise InvalidArgumentError(f"campaign needs 3 | n and n >= {least}, got n={n}")
+
+
 def _run_trials(name: str, trials: int, jobs: int, trial, stats: dict) -> CampaignResult:
     """Run trial(i) -> TrialOutcome for every i < trials on at most `jobs`
     processes and collect the outcomes into one result; each trial derives
     its randomness from i, so the result does not depend on `jobs`.  The
     SHA-256 over the trials' instance digests, in trial order, goes into
     stats as instances_sha256."""
-    if trials < 0:
-        raise InvalidArgumentError(f"need trials >= 0, got {trials}")
-    if jobs < 1:
-        raise InvalidArgumentError(f"need jobs >= 1, got {jobs}")
+    _check_trials(trials, jobs)
     result = CampaignResult(name=name, trials=trials, stats=stats)
     digests = []
     for failures, tally, digest in _map_trials(trial, trials, jobs):
@@ -148,8 +155,7 @@ def _graphmeet_trial(i: int, n: int, seed: int) -> TrialOutcome:
 def run_graphmeet_campaign(n: int, trials: int, seed: int, jobs: int = 1) -> CampaignResult:
     """Random dense pairs at fixed n: all four verdicts must hold and the
     evidence must survive independent re-verification."""
-    if n % 3 != 0:
-        raise TclError(f"campaign needs 3 | n, got n={n}")
+    _check_n(n, 3)
     return _run_trials("graphmeet", trials, jobs, partial(_graphmeet_trial, n=n, seed=seed), {"n": n})
 
 
@@ -190,8 +196,7 @@ def run_fracmatch_campaign(n: int, trials: int, seed: int, jobs: int = 1) -> Cam
     """Random degree-conditioned 3-graphs at fixed n: the returned matching
     must be perfect (exact rational), supported in one tight component, and
     the component must keep min degree >= (4/9)C(n,2)."""
-    if n % 3 != 0:
-        raise TclError(f"campaign needs 3 | n, got n={n}")
+    _check_n(n, 6)  # at n = 3, (5/9)C(3,2) exceeds every vertex degree
     p = fracmatch_edge_probability(n)
     trial = partial(_fracmatch_trial, n=n, seed=seed, p=p)
     return _run_trials("fracmatch", trials, jobs, trial, {"n": n, "p": round(p, 4)})
@@ -210,7 +215,7 @@ def _farkas_trial(i: int, seed: int) -> TrialOutcome:
     rng = random.Random(derive_seed(seed, i, 77))
     n = rng.choice(FARKAS_SIZES)
     if i % 3 == 0:
-        a = rng.randint(1, max(1, n // 3))
+        a = rng.randint(1, n // 3)
         H = extremal(n, a).hypergraph
         expect = "certificate" if 3 * a < n else None
     else:
@@ -335,8 +340,8 @@ def _matching_number_table(N: int) -> bytearray:
 def run_erdos_gallai_exhaustive(max_n: int) -> CampaignResult:
     """Every graph on at most max_n labeled vertices: edge counts above the
     threshold must force a matching of the corresponding size."""
-    if max_n > EXHAUSTIVE_MAX_N:
-        raise InvalidArgumentError(f"exhaustive check needs max_n <= {EXHAUSTIVE_MAX_N}, got {max_n}")
+    if not 1 <= max_n <= EXHAUSTIVE_MAX_N:
+        raise InvalidArgumentError(f"exhaustive check needs 1 <= max_n <= {EXHAUSTIVE_MAX_N}, got {max_n}")
     result = CampaignResult(name="erdos-gallai-exhaustive", trials=0, stats={})
     graphs = 0
     for N in range(1, max_n + 1):
@@ -370,9 +375,14 @@ def _eg_random_trial(i: int, seed: int, max_n: int) -> TrialOutcome:
     return [], None, digest
 
 
-def run_erdos_gallai_random(trials: int, seed: int, max_n: int, jobs: int = 1) -> CampaignResult:
+def _check_eg_random(trials: int, max_n: int, jobs: int) -> None:
     if max_n < 2:
         raise InvalidArgumentError(f"random graphs need max_n >= 2, got {max_n}")
+    _check_trials(trials, jobs)
+
+
+def run_erdos_gallai_random(trials: int, seed: int, max_n: int, jobs: int = 1) -> CampaignResult:
+    _check_eg_random(trials, max_n, jobs)
     trial = partial(_eg_random_trial, seed=seed, max_n=max_n)
     return _run_trials("erdos-gallai-random", trials, jobs, trial, {"max_n": max_n})
 
@@ -381,6 +391,7 @@ def run_erdos_gallai_campaign(exhaustive_n: int, trials: int, seed: int, max_n: 
                               jobs: int = 1) -> CampaignResult:
     """The exhaustive check on at most exhaustive_n vertices and, if it
     passes, random graphs on at most max_n, merged into one result."""
+    _check_eg_random(trials, max_n, jobs)
     result = run_erdos_gallai_exhaustive(exhaustive_n)
     if result.passed:
         rnd = run_erdos_gallai_random(trials, seed, max_n=max_n, jobs=jobs)
@@ -402,10 +413,10 @@ def run_extremal_bound_campaign(max_n: int) -> CampaignResult:
     """Exact reproduction of the extremal family facts for all n <= max_n:
     the min-degree formula for every a and, for n >= 4, the longest tight
     cycle: none when a = 1, length 3a when 3a <= n, Hamilton length n when
-    3a > n.  max_n is checked against the DP's limit before any work."""
-    if max_n > DP_MAX_N:
+    3a > n.  max_n is checked to lie in 3..DP_MAX_N before any work."""
+    if not 3 <= max_n <= DP_MAX_N:
         raise InvalidArgumentError(
-            f"extremal-bound runs the exact cycle DP, which needs max_n <= {DP_MAX_N}, got {max_n}")
+            f"extremal-bound runs the exact cycle DP, which needs 3 <= max_n <= {DP_MAX_N}, got {max_n}")
     result = CampaignResult(name="extremal-bound", trials=0, stats={})
     checked = 0
     cycles_checked = 0

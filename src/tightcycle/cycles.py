@@ -20,11 +20,12 @@ order and the cycle returned are those of the earlier tuple-keyed DP.  Memory
 is the price: the budget is n <= 22, and dense instances get slow well
 before that.
 
-The heuristic mirrors the reduced-graph pipeline: it first plans a closed
-cluster walk that visits each cluster according to the fractional matching
-weights (windows constrained to thresholded reduced-graph triples), then
-instantiates the plan with distinct vertices by seeded backtracking.  No
-success guarantee is claimed; failures report the longest tight path found.
+The heuristic mirrors the reduced-graph pipeline: it plans a closed cluster
+walk that visits each cluster according to the fractional matching weights
+(windows constrained to thresholded reduced-graph triples) in at most
+PLAN_BUDGET steps, then instantiates it with distinct vertices by seeded
+backtracking, in at most VERTEX_BUDGET steps per restart.  No success
+guarantee is claimed; failures report the longest tight path found.
 """
 
 from __future__ import annotations
@@ -47,9 +48,8 @@ from .tight import tight_components
 DP_MAX_N = 22
 MIN_CYCLE_LENGTH = 4
 
-# Matching-guided heuristic: step budgets of the cluster-walk planner and of
-# the vertex backtracking per restart, the scales (exact tenths) tried,
-# largest first, on the per-cluster targets, and the seeded restarts per scale.
+# Matching-guided heuristic: the two step budgets, the scales (exact tenths,
+# largest first) tried on the per-cluster targets, and the restarts per scale.
 PLAN_BUDGET = 200_000
 VERTEX_BUDGET = 400_000
 QUOTA_SCALES = tuple(Fraction(k, 10) for k in range(10, 3, -1))
@@ -109,6 +109,14 @@ def validate_cycle(H: Hypergraph3, seq) -> CycleValidation:
     return CycleValidation(True)
 
 
+def _checked(H: Hypergraph3, order: tuple[int, ...], producer: str) -> TightCycle:
+    """The cycle `order`, once validate_cycle has passed it on H."""
+    check = validate_cycle(H, order)
+    if not check.valid:
+        raise InvariantViolation(f"{producer} produced an invalid cycle: {check}", witness=order)
+    return TightCycle(order)
+
+
 def _bits(x: int):
     while x:
         b = x & -x
@@ -145,7 +153,6 @@ def longest_tight_cycle(H: Hypergraph3) -> TightCycle | None:
                 level[(sbit | 1 << (q - 1)) << 10 | s << 5 | q] = 1 << (q - 1)
         levels: list[dict[int, int]] = [{}, {}, level]  # index by path length
         ell = 2
-        found_here = False
         while level:
             nxt: dict[int, int] = {}
             get = nxt.get
@@ -159,7 +166,6 @@ def longest_tight_cycle(H: Hypergraph3) -> TightCycle | None:
                         best_len = ell
                         best_state = (s, key, qs & -qs)
                         best_levels = levels
-                        found_here = True
                         closing = False
                 # A completion c, low = bit c-1, leads to (mask | low, b, c):
                 # base packs mask and the new a = b; low.bit_length() == c.
@@ -174,12 +180,9 @@ def longest_tight_cycle(H: Hypergraph3) -> TightCycle | None:
             levels.append(nxt)
             level = nxt
             ell += 1
-        if found_here and best_len == n:
-            break
 
     if best_state is None:
         return None
-    assert best_levels is not None
     s, key, qbit = best_state
     mask, a, b = key >> 10, key >> 5 & 31, key & 31
     rev = [b, a]
@@ -198,11 +201,7 @@ def longest_tight_cycle(H: Hypergraph3) -> TightCycle | None:
             raise InvariantViolation("cycle reconstruction lost the trail", witness=best_state)
         lvl -= 1
     rev.reverse()  # the lvl == 3 step appended s itself, completing the order
-    cycle = TightCycle(tuple(rev))
-    check = validate_cycle(H, cycle.order)
-    if not check.valid:
-        raise InvariantViolation(f"DP produced an invalid cycle: {check}", witness=cycle.order)
-    return cycle
+    return _checked(H, tuple(rev), "DP")
 
 
 def brute_force_longest_cycle(H: Hypergraph3) -> TightCycle | None:
@@ -234,11 +233,7 @@ def brute_force_longest_cycle(H: Hypergraph3) -> TightCycle | None:
     del dfs  # dfs refers to itself: free its closure, and with it H, now
     if best is None:
         return None
-    cycle = TightCycle(best[1])
-    check = validate_cycle(H, cycle.order)
-    if not check.valid:
-        raise InvariantViolation(f"oracle produced an invalid cycle: {check}")
-    return cycle
+    return _checked(H, best[1], "oracle")
 
 
 # ---------------------------------------------------------------------------
@@ -261,30 +256,25 @@ class CycleSearchResult:
 
 
 def _plan_cluster_walk(
-    rd_triples: frozenset[Triple], quotas: dict[int, int], budget: int
+    rd_triples: frozenset[Triple], quotas: dict[int, int]
 ) -> tuple[int, ...] | None:
     """Search for a cyclic cluster sequence hitting each quota exactly, with
     every cyclic window a thresholded reduced-graph triple.  Ties prefer the
     cluster with the most remaining visits (least used relative to quota)."""
-    active = sorted(c for c, q in quotas.items() if q > 0)
-    total = sum(quotas[c] for c in active)
-    if total < MIN_CYCLE_LENGTH or not active:
-        return None
+    active = sorted(quotas)
+    total = sum(quotas.values())
     remaining = dict(quotas)
-    start = active[0]
-    seq = [start]
-    remaining[start] -= 1
+    seq = [active[0]]
+    remaining[active[0]] -= 1
     steps = 0
 
     def window_ok(x: int, y: int, z: int) -> bool:
-        if x == y or y == z or x == z:
-            return False
         return tuple(sorted((x, y, z))) in rd_triples
 
     def dfs() -> bool:
         nonlocal steps
         steps += 1
-        if steps > budget:
+        if steps > PLAN_BUDGET:
             return False
         if len(seq) == total:
             return window_ok(seq[-2], seq[-1], seq[0]) and window_ok(seq[-1], seq[0], seq[1])
@@ -314,7 +304,6 @@ def _instantiate_plan(
     clusters: tuple[tuple[int, ...], ...],
     plan: tuple[int, ...],
     rng: random.Random,
-    budget: int,
 ) -> tuple[tuple[int, ...] | None, tuple[int, ...]]:
     """Assign distinct vertices to a cyclic cluster plan by backtracking.
 
@@ -337,7 +326,7 @@ def _instantiate_plan(
             return True
         for v in pools[plan[pos]]:
             steps += 1
-            if steps > budget:
+            if steps > VERTEX_BUDGET:
                 return False
             if v in used:
                 continue
@@ -356,8 +345,6 @@ def _instantiate_plan(
                 return True
             choice.pop()
             used.remove(v)
-            if steps > budget:
-                return False
         return False
 
     found = dfs(0)
@@ -413,25 +400,19 @@ def matching_guided_cycle(
 
     longest: tuple[int, ...] = ()
     for si, scale in enumerate(QUOTA_SCALES):
-        quotas = {c: min(m, math.floor(q * scale)) for c, q in targets.items()}
-        quotas = {c: q for c, q in quotas.items() if q > 0}
+        quotas = {c: math.floor(q * scale) for c, q in targets.items() if q * scale >= 1}
         if sum(quotas.values()) < MIN_CYCLE_LENGTH:
             continue
-        plan = _plan_cluster_walk(rd, quotas, PLAN_BUDGET)
+        plan = _plan_cluster_walk(rd, quotas)
         if plan is None:
             continue
         for restart in range(RESTARTS):
             rng = random.Random(derive_seed(seed, si, restart))
-            order, prefix = _instantiate_plan(H, S.clusters, plan, rng, VERTEX_BUDGET)
+            order, prefix = _instantiate_plan(H, S.clusters, plan, rng)
             if len(prefix) > len(longest):
                 longest = prefix
             if order is not None:
-                cycle = TightCycle(order)
-                check = validate_cycle(H, cycle.order)
-                if not check.valid:
-                    raise InvariantViolation(
-                        f"heuristic produced an invalid cycle: {check}", witness=order
-                    )
+                cycle = _checked(H, order, "heuristic")
                 return CycleSearchResult(
                     cycle=cycle,
                     coverage=coverage(order),

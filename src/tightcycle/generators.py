@@ -103,6 +103,8 @@ def random_min_degree_3graph(
     """
     if max_attempts < 1:
         raise InvalidArgumentError(f"max_attempts must be >= 1, got {max_attempts}")
+    if delta_target < 0:
+        raise InvalidArgumentError(f"delta_target must be >= 0, got {delta_target}")
     if n >= 1 and delta_target > comb(n - 1, 2):
         raise InvalidArgumentError(
             f"delta_target {delta_target} exceeds C({n - 1},2) = {comb(n - 1, 2)}"

@@ -40,11 +40,6 @@ class GraphMatching:
                 raise InvalidArgumentError(f"matching pair {p} reuses a vertex")
             seen.update(p)
 
-    def truncated(self, k: int) -> "GraphMatching":
-        if k > len(self.pairs):
-            raise InvalidArgumentError(f"cannot truncate size {len(self.pairs)} to {k}")
-        return GraphMatching(self.pairs[:k])
-
 
 def _find_augmenting_path(n, adj, match, root):
     """One blossom phase: grow an alternating tree from `root`, contracting
@@ -126,10 +121,8 @@ def erdos_gallai_threshold(N: int, k: int) -> int:
     Returns max{C(2k-1, 2), C(k-1, 2) + (k-1)(N-k+1)}; the guarantee is for
     e(G) strictly above the returned value.
     """
-    if k < 1 or N < 1:
-        raise InvalidArgumentError(f"need k >= 1 and N >= 1, got N={N}, k={k}")
-    if N < 2 * k - 1:
-        raise InvalidArgumentError(f"threshold needs N >= 2k-1, got N={N}, k={k}")
+    if k < 1 or N < 2 * k - 1:  # so N >= 1 too
+        raise InvalidArgumentError(f"threshold needs k >= 1 and N >= 2k-1, got N={N}, k={k}")
     return max(comb(2 * k - 1, 2), comb(k - 1, 2) + (k - 1) * (N - k + 1))
 
 
@@ -267,7 +260,7 @@ def graphmeet_verify(G1: Graph, G2: Graph, observe: bool = False) -> GraphMeetRe
     comps = [largest_component(G) for G in (G1, G2)]
     matchings = [max_matching(Graph(n, ce)) for _, ce in comps]
     if n % 3 == 0:  # a matching of n/3 edges is the evidence
-        matchings = [mm.truncated(n // 3) if mm.size >= n // 3 else mm for mm in matchings]
+        matchings = [GraphMatching(mm.pairs[: n // 3]) for mm in matchings]
     return GraphMeetReport(
         n=n,
         precondition_met=pre,

@@ -77,11 +77,9 @@ def component_star(
     """
     from .matching import connected_components
 
-    if not 1 <= u <= H.n:
-        raise InvalidArgumentError(f"vertex {u} not inside [1, {H.n}]")
+    link = H.link_graph(u)  # raises InvalidArgumentError for u outside [1, n]
     cv = frozenset(component[0])
     ce = frozenset(tuple(sorted(p)) for p in component[1])
-    link = H.link_graph(u)
     for vs, es in connected_components(link):
         if vs == cv and es == ce:
             break

@@ -62,3 +62,39 @@ def test_instance_fingerprint_tracks_the_drawn_instances():
     assert a.passed and b.passed
     assert a.stats["instances_sha256"] != b.stats["instances_sha256"]
     assert campaigns.run_cycle_oracle_campaign(5, 7, max_n=7).stats == a.stats
+
+
+@pytest.mark.parametrize("n", [0, -3, 4])
+def test_graphmeet_campaign_rejects_n(n):
+    with pytest.raises(InvalidArgumentError, match=f"3 \\| n and n >= 3, got n={n}"):
+        campaigns.run_graphmeet_campaign(n, 2, 7)
+
+
+@pytest.mark.parametrize("n", [0, 3])
+def test_fracmatch_campaign_rejects_n(n):
+    with pytest.raises(InvalidArgumentError, match=f"3 \\| n and n >= 6, got n={n}"):
+        campaigns.run_fracmatch_campaign(n, 2, 7)
+
+
+@pytest.mark.parametrize("max_n", [2, -5])
+def test_extremal_bound_refuses_max_n_below_three(max_n):
+    with pytest.raises(InvalidArgumentError, match=f"3 <= max_n <= 22, got {max_n}"):
+        campaigns.run_extremal_bound_campaign(max_n)
+
+
+@pytest.mark.parametrize("exhaustive_n,trials,max_n,jobs", [
+    (0, 3, 12, 1),  # empty exhaustive half
+    (-1, 3, 12, 1),
+    (8, 3, 12, 1),
+    (7, 3, 1, 1),  # random half: max_n below 2
+    (7, -1, 12, 1),  # random half: negative trials
+    (7, 3, 12, 0),  # random half: no jobs
+])
+def test_erdos_gallai_campaign_checks_arguments_before_any_work(monkeypatch, exhaustive_n, trials,
+                                                                max_n, jobs):
+    def no_table(N):
+        raise AssertionError("the exhaustive pass ran")
+
+    monkeypatch.setattr(campaigns, "_matching_number_table", no_table)
+    with pytest.raises(InvalidArgumentError):
+        campaigns.run_erdos_gallai_campaign(exhaustive_n, trials, 7, max_n, jobs)

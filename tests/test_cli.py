@@ -328,6 +328,10 @@ BAD_INPUT_CASES = [
     ("verify-erdos-gallai-max-n", ["verify", "erdos-gallai", "--trials", "3", "--max-n", "1"], {}, None),
     ("verify-exhaustive-n", ["verify", "erdos-gallai", "--trials", "3", "--exhaustive-n", "8"], {}, None),
     ("verify-extremal-bound-max-n-above", ["verify", "extremal-bound", "--max-n", "23"], {}, None),
+    ("verify-extremal-bound-max-n-two", ["verify", "extremal-bound", "--max-n", "2"], {}, None),
+    ("verify-extremal-bound-max-n-negative", ["verify", "extremal-bound", "--max-n", "-5"], {}, None),
+    ("verify-exhaustive-n-zero", ["verify", "erdos-gallai", "--trials", "3", "--exhaustive-n", "0"], {}, None),
+    ("random-negative-delta-target", ["random", "--n", "5", "--delta-target", "-3"], {}, None),
     ("verify-extremal-bound-trials-jobs", ["verify", "extremal-bound", "--max-n", "5", "--jobs", "-3"], {}, None),
     ("verify-pipeline-negative-trials", ["verify", "pipeline", "--n", "18", "--trials", "-1"], {}, None),
     ("verify-pipeline-zero-jobs", ["verify", "pipeline", "--n", "18", "--jobs", "0"], {}, None),

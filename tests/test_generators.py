@@ -96,3 +96,8 @@ def test_degree_target_validated():
 def test_degree_conditioned_sampler_needs_an_attempt():
     with pytest.raises(InvalidArgumentError, match="max_attempts must be >= 1, got 0"):
         random_min_degree_3graph(4, 1, seed=1, max_attempts=0)
+
+
+def test_random_min_degree_rejects_negative_target():
+    with pytest.raises(InvalidArgumentError, match="delta_target must be >= 0, got -3"):
+        random_min_degree_3graph(5, -3, 1)

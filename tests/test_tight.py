@@ -143,6 +143,14 @@ def test_component_star_rejects_non_component():
         component_star(K4, 1, (frozenset({2, 3}), frozenset({(2, 3)})))
 
 
+@pytest.mark.parametrize("u", [0, 5])
+def test_component_star_rejects_vertex_out_of_range(u):
+    K4 = complete_3graph(4)
+    triangle = largest_component(K4.link_graph(1))
+    with pytest.raises(InvalidArgumentError, match=f"vertex {u} not inside"):
+        component_star(K4, u, triangle)
+
+
 def test_component_star_lands_in_one_tight_component():
     for i in range(25):
         rng = random.Random(1000 + i)
