@@ -341,7 +341,7 @@ def run_erdos_gallai_exhaustive(max_n: int) -> CampaignResult:
     """Every graph on at most max_n labeled vertices: edge counts above the
     threshold must force a matching of the corresponding size."""
     if not 1 <= max_n <= EXHAUSTIVE_MAX_N:
-        raise InvalidArgumentError(f"exhaustive check needs 1 <= max_n <= {EXHAUSTIVE_MAX_N}, got {max_n}")
+        raise InvalidArgumentError(f"the exhaustive check covers 1 to {EXHAUSTIVE_MAX_N} vertices, got {max_n}")
     result = CampaignResult(name="erdos-gallai-exhaustive", trials=0, stats={})
     graphs = 0
     for N in range(1, max_n + 1):

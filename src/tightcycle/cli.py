@@ -44,7 +44,7 @@ from .hypergraph import (
     write_graph,
     write_hypergraph,
 )
-from .matching import erdos_gallai_thresholds, graphmeet_verify, max_matching
+from .matching import erdos_gallai_threshold, erdos_gallai_thresholds, graphmeet_verify, max_matching
 from .pipeline import DEFAULT_D, DEFAULT_EPS, DEFAULT_SAMPLES, DEFAULT_T, run_pipeline
 from .slices import build_reduced_graph, build_weak_slice
 from .tight import tight_components
@@ -236,15 +236,13 @@ def cmd_match(args) -> int:
 
 def cmd_egcheck(args) -> int:
     G = read_graph(_read_source(args.file))
-    if args.k is not None and args.k < 0:
-        raise TclError(f"--k must be >= 1, or 0 for every k; got {args.k}")
+    # --k 0 or absent: every k with n >= 2k-1; any other k needs its threshold
+    thresholds = {args.k: erdos_gallai_threshold(G.n, args.k)} if args.k else erdos_gallai_thresholds(G.n)
     nu = max_matching(G).size
     e = len(G.edges)
     rows = []
     ok = True
-    for k, thr in erdos_gallai_thresholds(G.n).items():
-        if args.k and k != args.k:
-            continue
+    for k, thr in thresholds.items():
         above = e > thr
         guaranteed = not above or nu >= k
         ok = ok and guaranteed
@@ -295,8 +293,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_extremal(args) -> int:
-    if args.eta is None and args.a is None:
-        raise TclError("extremal needs --a or --eta")
+    if (args.eta is None) == (args.a is None):
+        raise TclError("extremal needs exactly one of --a and --eta")
     if args.eta is not None:
         inst = extremal_from_eta(args.n, _parse_exact(args.eta, "--eta"))
     else:
@@ -443,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("match", cmd_match, "maximum matching of a .2g file", "file")
 
     p = add("egcheck", cmd_egcheck, "matching-threshold check on a .2g file", "file")
-    p.add_argument("--k", type=int, help="check this k only (default or 0: every k with n >= 2k-1)")
+    p.add_argument("--k", type=int, help="check this k only, which needs n >= 2k-1 (default or 0: every such k)")
 
     p = add("graphmeet", cmd_graphmeet, "dense-pair component verifier on two .2g files",
             "file1", "file2")
@@ -463,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("extremal", cmd_extremal, "emit the extremal instance as .3g", report=False)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--a", type=int)
-    p.add_argument("--eta", help="choose a from an eta value instead of --a (read exactly)")
+    p.add_argument("--eta", help="choose a from an eta value instead of --a (read exactly); give exactly one")
 
     p = add("random", cmd_random, "emit a random .3g (optionally degree-conditioned)", report=False)
     p.add_argument("--n", type=int, required=True)

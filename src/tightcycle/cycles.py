@@ -24,8 +24,10 @@ The heuristic mirrors the reduced-graph pipeline: it plans a closed cluster
 walk that visits each cluster according to the fractional matching weights
 (windows constrained to thresholded reduced-graph triples) in at most
 PLAN_BUDGET steps, then instantiates it with distinct vertices by seeded
-backtracking, in at most VERTEX_BUDGET steps per restart.  No success
-guarantee is claimed; failures report the longest tight path found.
+backtracking, in at most VERTEX_BUDGET steps per restart.  Both searches are
+loops over an explicit stack of untried candidates, so a plan's length is
+not bounded by Python's recursion limit.  No success guarantee is claimed;
+failures report the longest tight path found.
 """
 
 from __future__ import annotations
@@ -271,32 +273,27 @@ def _plan_cluster_walk(
     def window_ok(x: int, y: int, z: int) -> bool:
         return tuple(sorted((x, y, z))) in rd_triples
 
-    def dfs() -> bool:
-        nonlocal steps
+    # Depth-first: untried[i] holds the candidates not yet tried after the
+    # first i + 1 clusters of seq.  Each sequence entered is one step.
+    untried = []
+    while True:
         steps += 1
         if steps > PLAN_BUDGET:
-            return False
-        if len(seq) == total:
-            return window_ok(seq[-2], seq[-1], seq[0]) and window_ok(seq[-1], seq[0], seq[1])
-        cands = [
-            c
-            for c in active
-            if remaining[c] > 0
-            and (len(seq) < 2 or window_ok(seq[-2], seq[-1], c))
-        ]
-        cands.sort(key=lambda c: (-remaining[c], c))
-        for c in cands:
-            seq.append(c)
-            remaining[c] -= 1
-            if dfs():
-                return True
-            seq.pop()
-            remaining[c] += 1
-        return False
-
-    found = dfs()
-    del dfs  # dfs refers to itself: free its closure now, not at a later collection
-    return tuple(seq) if found else None
+            return None
+        if len(seq) == total and window_ok(seq[-2], seq[-1], seq[0]) and window_ok(seq[-1], seq[0], seq[1]):
+            return tuple(seq)
+        # none once len(seq) == total; most remaining visits first, and the
+        # stable sort keeps ties in the ascending order of active
+        cands = [c for c in active if remaining[c] > 0 and (len(seq) < 2 or window_ok(seq[-2], seq[-1], c))]
+        cands.sort(key=remaining.__getitem__, reverse=True)
+        untried.append(iter(cands))
+        while (c := next(untried[-1], None)) is None:
+            untried.pop()
+            if not untried:
+                return None
+            remaining[seq.pop()] += 1
+        seq.append(c)
+        remaining[c] -= 1
 
 
 def _instantiate_plan(
@@ -309,7 +306,7 @@ def _instantiate_plan(
 
     Returns (cycle order or None, longest tight path prefix reached).
     """
-    L = len(plan)
+    last = len(plan) - 1
     pools: dict[int, list[int]] = {}
     for c in set(plan):
         pool = list(clusters[c])
@@ -319,37 +316,39 @@ def _instantiate_plan(
     used: set[int] = set()
     best_prefix: tuple[int, ...] = ()
     steps = 0
-
-    def dfs(pos: int) -> bool:
-        nonlocal steps, best_prefix
-        if pos == L:
-            return True
-        for v in pools[plan[pos]]:
+    # Depth-first: it holds the untried vertices of position pos's pool, and
+    # untried those of the positions before it.
+    untried = []
+    pos = 0
+    it = iter(pools[plan[0]])
+    while True:
+        for v in it:
             steps += 1
             if steps > VERTEX_BUDGET:
-                return False
+                return None, best_prefix
             if v in used:
                 continue
             if pos >= 2 and (choice[pos - 2], choice[pos - 1], v) not in H:
                 continue
-            if pos == L - 1:
-                if (choice[pos - 1], v, choice[0]) not in H:
-                    continue
-                if (v, choice[0], choice[1]) not in H:
-                    continue
+            if pos == last:
+                if (choice[pos - 1], v, choice[0]) in H and (v, choice[0], choice[1]) in H:
+                    order = (*choice, v)
+                    return order, order
+                continue
             choice.append(v)
             used.add(v)
             if len(choice) > len(best_prefix):
                 best_prefix = tuple(choice)
-            if dfs(pos + 1):
-                return True
-            choice.pop()
-            used.remove(v)
-        return False
-
-    found = dfs(0)
-    del dfs  # dfs refers to itself: free its closure, and with it H, now
-    return (tuple(choice) if found else None), best_prefix
+            untried.append(it)
+            pos += 1
+            it = iter(pools[plan[pos]])
+            break
+        else:
+            if not pos:
+                return None, best_prefix
+            pos -= 1
+            it = untried.pop()
+            used.remove(choice.pop())
 
 
 def matching_guided_cycle(

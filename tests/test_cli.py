@@ -127,7 +127,6 @@ def test_egcheck_command(capsys, tmp_path):
     (0, [(1, 0, True, True), (2, 6, True, True), (3, 11, False, True), (4, 21, False, True)]),
     (2, [(2, 6, True, True)]),
     (4, [(4, 21, False, True)]),
-    (5, []),  # n = 7 < 2k - 1: no threshold applies
 ])
 def test_egcheck_rows(capsys, tmp_path, k, expected):
     path = tmp_path / "g7.2g"
@@ -194,6 +193,7 @@ def test_verify_rejects_options_the_campaign_does_not_read(capsys, argv, named):
     (["graphmeet", "--n", "0", "--trials", "2"], "--n must be >= 1, got 0"),
     (["pipeline", "--n", "0"], "--n must be >= 1, got 0"),
     (["cycle-oracle", "--trials", "3", "--max-n", "10"], "cycle oracle needs 4 <= max_n <= 9, got 10"),
+    (["erdos-gallai", "--trials", "3", "--exhaustive-n", "8"], "the exhaustive check covers 1 to 7 vertices, got 8"),
 ])
 def test_verify_range_errors_name_the_option(capsys, argv, message):
     code, out, err = run_cli(capsys, "verify", *argv)
@@ -349,7 +349,11 @@ BAD_INPUT_CASES = [
     ("pipeline-eps-negative-exponent", ["pipeline", "{file}", "--eps", "-1e-3"], {}, None),
     ("eta-negative-exponent", ["extremal", "--n", "9", "--eta", "-1e400"], {}, None),
     ("pipeline-d-above-one", ["pipeline", "{file}", "--t", "3", "--d", "2"], {}, None),
-    ("egcheck-negative-k", ["egcheck", "{file}", "--k", "-3"], {}, b"4 2\n1 2\n3 4\n"),
+    ("egcheck-negative-k", ["egcheck", "{file}", "--k", "-3"], {}, b"2 4\n1 2\n3 4\n"),
+    # n = 7 < 2k - 1: no threshold applies
+    ("egcheck-k-above-range", ["egcheck", "{file}", "--k", "5"], {}, b"2 7\n1 2\n1 4\n1 7\n2 3\n2 5\n2 6\n4 5\n"),
+    ("extremal-a-and-eta", ["extremal", "--n", "9", "--a", "2", "--eta", "0.5"], {}, None),
+    ("extremal-neither-a-nor-eta", ["extremal", "--n", "9"], {}, None),
     ("maxfrac-component-edgeless", ["maxfrac", "{file}", "--component", "0"], {}, b"3 4\n"),
 ]
 
