@@ -172,7 +172,7 @@ EXACT_OPTIONS = ("--d", "--eps", "--eta")
 def _attach_exact_values(argv: list[str]) -> list[str]:
     """Write `--eps -1/2` as `--eps=-1/2`.  argparse takes a value that starts
     with "-" and is not a plain decimal for an option, so without this a
-    negative rational never reaches _parse_exact and the range checks."""
+    negative rational never reaches its exact reader and the range checks."""
     out: list[str] = []
     for arg in argv:
         if out and out[-1] in EXACT_OPTIONS and arg.startswith("-") and not arg.startswith("--"):
@@ -296,7 +296,7 @@ def cmd_extremal(args) -> int:
     if (args.eta is None) == (args.a is None):
         raise TclError("extremal needs exactly one of --a and --eta")
     if args.eta is not None:
-        inst = extremal_from_eta(args.n, _parse_exact(args.eta, "--eta"))
+        inst = extremal_from_eta(args.n, args.eta)
     else:
         inst = extremal(args.n, args.a)
     print(provenance_comment("extremal", n=args.n, a=len(inst.a_side)))

@@ -12,13 +12,19 @@ rotational symmetry.  Closing the cycle needs the second vertex of the
 sequence, which the DP does not carry in its key; instead each state holds
 the bitmask of second vertices realizable for it, which closure intersects
 with the completions of the seam pair.  A state (mask, a, b) is one int,
-mask << 10 | a << 5 | b (bit v-1 of mask for vertex v), and the completions
-of a pair are a lookup in the host's table, H.completions[a][b] (read only
-after the size and no-edge checks), so a transition builds no tuple;
-int keys also take about 30 % less memory than tuple keys.  The passes, their
-order and the cycle returned are those of the earlier tuple-keyed DP.  Memory
-is the price: the budget is n <= 22, and dense instances get slow well
-before that.
+mask << 10 | a << 5 | b (bit v-1 of mask for vertex v); int keys take about
+30 % less memory than tuple keys.  For each start s the host's pair table
+H.completions (read only after the size and no-edge checks), masked to the
+vertices >= s, is laid out flat and indexed by the key's 10-bit (a, b)
+field, key & 1023.  The completions c of a state's last pair are listed by
+two tables indexed by the low and the high half of that bitmask, each entry
+a tuple of ints bit(c) << 10 | c in ascending c, so a successor key is one
+OR and a transition builds no tuple.  A new successor state shares its
+parent's int of second vertices, and an old one is written back only when
+the parent adds a bit to it.  Since c ascends, states are inserted in the
+order of the earlier tuple-keyed DP, and the passes, their order and the
+cycle returned are its own.  Memory is the price: the budget is n <= 22,
+and dense instances get slow well before that.
 
 The heuristic mirrors the reduced-graph pipeline: it plans a closed cluster
 walk that visits each cluster according to the fractional matching weights
@@ -46,7 +52,11 @@ from .slices import ReducedGraph, Triple, WeakSlice
 from .tight import tight_components
 
 # A DP state (mask, a, b) is packed as mask << 10 | a << 5 | b, so its two
-# vertex fields are 5 bits wide; that holds because DP_MAX_N = 22 < 32.
+# vertex fields are 5 bits wide; that holds because DP_MAX_N = 22 < 32.  The
+# 10-bit (a, b) field also indexes the DP's flat pair table, and the
+# successor tables list c in ascending order, so states are created in the
+# order of the earlier DP; a new state shares its parent's int of second
+# vertices.
 DP_MAX_N = 22
 MIN_CYCLE_LENGTH = 4
 
@@ -119,11 +129,15 @@ def _checked(H: Hypergraph3, order: tuple[int, ...], producer: str) -> TightCycl
     return TightCycle(order)
 
 
-def _bits(x: int):
-    while x:
-        b = x & -x
-        yield b.bit_length() - 1
-        x ^= b
+def _successor_table(lo: int, hi: int) -> list[tuple[int, ...]]:
+    """Entry x lists, for each set bit i of x in ascending order, the vertex
+    c = lo + i + 1 as the int 1 << (c - 1) << 10 | c: its mask bit already in
+    a packed key's mask field, and c itself in the key's last field."""
+    table = [()]
+    for i in range(lo, hi):
+        t = 1 << i << 10 | i + 1
+        table += [row + (t,) for row in table]
+    return table
 
 
 def longest_tight_cycle(H: Hypergraph3) -> TightCycle | None:
@@ -133,11 +147,16 @@ def longest_tight_cycle(H: Hypergraph3) -> TightCycle | None:
     if n > DP_MAX_N:
         raise SizeLimitError(
             f"exact cycle DP budget is n <= {DP_MAX_N}; got n = {n}. "
-            "Use matching_guided_cycle for larger instances."
+            "Use matching_guided_cycle (tcl pipeline) for larger instances."
         )
     if not H.edges:
         return None
     comp = H.completions
+    # The vertices of a bitmask x over 1..n, ascending, are those of
+    # low[x & half] followed by those of high[x >> h].
+    h = (n + 1) // 2
+    half = (1 << h) - 1
+    low, high = _successor_table(0, h), _successor_table(h, n)
 
     best_len = 0
     best_state: tuple[int, int, int] | None = None  # s, key, q
@@ -148,37 +167,44 @@ def longest_tight_cycle(H: Hypergraph3) -> TightCycle | None:
             break
         sbit = 1 << (s - 1)
         allowed = ((1 << n) - 1) & ~(sbit - 1)  # vertices >= s
+        # flat[a << 5 | b] is comp[a][b] & allowed: indexed by key & 1023
+        flat = [0] * 1024
+        for a in range(1, n + 1):
+            row = comp[a]
+            for b in range(1, n + 1):
+                flat[a << 5 | b] = row[b] & allowed
         comp_s = comp[s]
         level: dict[int, int] = {}
         for q in range(s + 1, n + 1):
-            if comp_s[q] & allowed:
+            if flat[s << 5 | q]:
                 level[(sbit | 1 << (q - 1)) << 10 | s << 5 | q] = 1 << (q - 1)
         levels: list[dict[int, int]] = [{}, {}, level]  # index by path length
         ell = 2
         while level:
             nxt: dict[int, int] = {}
-            get = nxt.get
+            setdefault = nxt.setdefault
             closing = ell >= MIN_CYCLE_LENGTH and ell > best_len
             for key, qm in level.items():
-                b = key & 31
-                cab = comp[key >> 5 & 31][b]
+                cab = flat[key & 1023]
                 if closing and cab & sbit:
-                    qs = qm & comp_s[b]
+                    qs = qm & comp_s[key & 31]
                     if qs:
                         best_len = ell
                         best_state = (s, key, qs & -qs)
                         best_levels = levels
                         closing = False
-                # A completion c, low = bit c-1, leads to (mask | low, b, c):
-                # base packs mask and the new a = b; low.bit_length() == c.
-                ext = cab & allowed & ~(key >> 10)
+                # A completion c leads to (mask | bit c-1, b, c): base packs
+                # mask and the new a = b, and t packs bit c-1 and c.  A new
+                # state shares qm; an old one is written only if qm adds a bit.
+                ext = cab & ~(key >> 10)
                 if ext:
-                    base = key & ~1023 | b << 5
-                    while ext:
-                        low = ext & -ext
-                        k = base | low << 10 | low.bit_length()
-                        nxt[k] = get(k, 0) | qm
-                        ext ^= low
+                    base = key & ~1023 | (key & 31) << 5
+                    for t in low[ext & half] + high[ext >> h]:
+                        k = base | t
+                        v = setdefault(k, qm)
+                        w = v | qm
+                        if w != v:
+                            nxt[k] = w
             levels.append(nxt)
             level = nxt
             ell += 1
@@ -193,11 +219,12 @@ def longest_tight_cycle(H: Hypergraph3) -> TightCycle | None:
         prev_mask = mask & ~(1 << (b - 1))
         prev = best_levels[lvl - 1]
         cands = comp[a][b] & prev_mask & ~(1 << (a - 1))
-        for x in _bits(cands):
-            qm = prev.get(prev_mask << 10 | (x + 1) << 5 | a)
+        for t in low[cands & half] + high[cands >> h]:
+            x = t & 31
+            qm = prev.get(prev_mask << 10 | x << 5 | a)
             if qm is not None and qm & qbit:
-                rev.append(x + 1)
-                mask, a, b = prev_mask, x + 1, a
+                rev.append(x)
+                mask, a, b = prev_mask, x, a
                 break
         else:
             raise InvariantViolation("cycle reconstruction lost the trail", witness=best_state)

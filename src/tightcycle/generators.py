@@ -70,13 +70,20 @@ def extremal(n: int, a: int) -> ExtremalInstance:
     )
 
 
-def extremal_from_eta(n: int, eta: Fraction | float) -> ExtremalInstance:
-    """Thin wrapper choosing a = floor(((1-eta)n - 1)/3), in exact arithmetic."""
+def extremal_from_eta(n: int, eta: Fraction | float | str) -> ExtremalInstance:
+    """Thin wrapper choosing a = floor(((1-eta)n - 1)/3), in exact arithmetic.
+    A string eta ("0.56", "14/25", "1e400") is read exactly, and errors
+    quote eta as given, never the a derived from it."""
     try:
-        eta = Fraction(eta)
-    except (ValueError, OverflowError):  # nan, inf
-        raise InvalidArgumentError(f"eta must be a finite number, got {eta}")
-    a = math.floor(((1 - eta) * n - 1) / 3)
+        x = Fraction(eta)
+    except (ValueError, ZeroDivisionError, OverflowError):  # "abc", nan, 1/0, inf
+        raise InvalidArgumentError(f"eta must be a finite rational or decimal, got {eta}")
+    a = math.floor(((1 - x) * n - 1) / 3)
+    if not 1 <= a <= n:
+        raise InvalidArgumentError(
+            f"eta = {eta} gives no extremal instance on n = {n} vertices: "
+            "it needs 1 <= floor(((1 - eta)n - 1)/3) <= n"
+        )
     return extremal(n, a)
 
 

@@ -348,6 +348,8 @@ BAD_INPUT_CASES = [
     ("pipeline-eps-negative-rational", ["pipeline", "{file}", "--eps", "-1/2"], {}, None),
     ("pipeline-eps-negative-exponent", ["pipeline", "{file}", "--eps", "-1e-3"], {}, None),
     ("eta-negative-exponent", ["extremal", "--n", "9", "--eta", "-1e400"], {}, None),
+    ("eta-gives-a-below-one", ["extremal", "--n", "9", "--eta", "0.9"], {}, None),
+    ("eta-huge-exponent", ["extremal", "--n", "7", "--eta", "1e400"], {}, None),
     ("pipeline-d-above-one", ["pipeline", "{file}", "--t", "3", "--d", "2"], {}, None),
     ("egcheck-negative-k", ["egcheck", "{file}", "--k", "-3"], {}, b"2 4\n1 2\n3 4\n"),
     # n = 7 < 2k - 1: no threshold applies
@@ -473,6 +475,23 @@ def test_eta_is_read_exactly(capsys):
         code, out, _ = run_cli(capsys, "extremal", "--n", "50", "--eta", eta)
         assert code == 0
         assert out.splitlines()[0] == "# generator: extremal a=7 n=50"
+
+
+@pytest.mark.parametrize("n,eta", [("9", "0.9"), ("7", "1e400"), ("9", "-1e400")])
+def test_eta_out_of_range_names_eta_not_a(capsys, n, eta):
+    code, _, err = run_cli(capsys, "extremal", "--n", n, "--eta", eta)
+    assert code == 2
+    assert f"eta = {eta} " in err
+    assert "a=" not in err
+
+
+def test_cycle_size_limit_names_the_cli_heuristic(capsys, tmp_path):
+    path = tmp_path / "n23.3g"
+    path.write_text("3 23\n1 2 3\n")
+    code, out, err = run_cli(capsys, "cycle", str(path))
+    assert code == 2 and out == ""
+    assert "n <= 22; got n = 23" in err
+    assert "tcl pipeline" in err
 
 
 def test_verify_erdos_gallai_keeps_the_truncation_flag(capsys, monkeypatch):

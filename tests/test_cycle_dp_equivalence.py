@@ -3,9 +3,10 @@
 `_tuple_dp` is the earlier `cycles.longest_tight_cycle`, kept here as the
 oracle: states are `(mask, a, b)` tuples and completions live in a dict
 keyed by sorted pairs.  The current DP makes the same passes in the same
-order on one int per state, so on every host it must return the very same
-`TightCycle` (or None), not merely one of the same length: the first
-closing state, its smallest realizable second vertex and the
+order on one int per state, and its successor tables list each state's
+completions in the same ascending order, so on every host it must return
+the very same `TightCycle` (or None), not merely one of the same length:
+the first closing state, its smallest realizable second vertex and the
 smallest-vertex reconstruction must all agree.
 """
 
@@ -194,12 +195,23 @@ def test_edge_cases():
     assert _assert_same(Hypergraph3(0, [])) is None
     assert _assert_same(Hypergraph3(9, [])) is None
     assert _assert_same(Hypergraph3(5, [(1, 3, 5)])) is None
-    # n = 22, the largest n the DP takes; its cycle passes through vertex 22
-    rng = random.Random(20260903)
-    sparse = Hypergraph3(DP_MAX_N, _random_edges(DP_MAX_N, 0.06, rng))
-    assert DP_MAX_N in _assert_same(sparse).order
     with pytest.raises(SizeLimitError):
         longest_tight_cycle(Hypergraph3(DP_MAX_N + 1, []))
+
+
+@pytest.mark.parametrize("n", range(17, DP_MAX_N + 1))
+def test_sparse_hosts_above_sixteen_vertices(n):
+    # Sparse noise plus a tight cycle planted through vertex n, so the cycle
+    # uses vertices from the high half of the successor tables, up to n = 22,
+    # the largest n the DP takes.
+    rng = random.Random(20260903 + n)
+    edges = set(_random_edges(n, 0.06, rng))
+    planted = rng.sample(range(1, n), n - 1 - rng.randint(0, 6)) + [n]
+    ell = len(planted)
+    for i in range(ell):
+        edges.add(tuple(sorted((planted[i], planted[(i + 1) % ell], planted[(i + 2) % ell]))))
+    cycle = _assert_same(Hypergraph3(n, sorted(edges)))
+    assert cycle.length >= ell and n in cycle.order
 
 
 TRIPLES = list(itertools.combinations(range(1, 9), 3))
