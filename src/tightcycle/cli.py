@@ -349,10 +349,12 @@ def cmd_pipeline(args) -> int:
 
 
 # `tcl verify` campaign name -> (the campaign options it reads with their
-# defaults, call(args, seed) returning a CampaignResult).  --seed and --jobs
-# are accepted by every campaign: a deterministic campaign has no use for the
-# seed, a serial one runs the same at any --jobs, and a script may pass both
-# to all eight.
+# defaults, call(args, seed) returning a CampaignResult).  Each campaign is a
+# sub-parser of `verify` that declares these options, --format, --seed and
+# --jobs, so an option a campaign does not read is an unknown option.  Every
+# campaign takes --seed and --jobs: a deterministic campaign has no use for
+# the seed, a serial one runs the same at any --jobs, and a script may pass
+# both to all eight.
 CAMPAIGNS = {
     "graphmeet": ({"trials": 100, "n": 9}, lambda a, seed: campaigns.run_graphmeet_campaign(
         a.n, a.trials, seed, jobs=a.jobs)),
@@ -373,24 +375,12 @@ CAMPAIGNS = {
         n=a.n, t=a.t, seed=seed)),
 }
 
-# Every campaign option, in the order errors name them.  The parser leaves
-# each None, so that cmd_verify can tell an option the user passed from one
-# left out.
-VERIFY_OPTIONS = tuple(dict.fromkeys(o for reads, _ in CAMPAIGNS.values() for o in reads))
-
 
 def cmd_verify(args) -> int:
     reads, run = CAMPAIGNS[args.campaign]
-    unread = [f"--{dest.replace('_', '-')}" for dest in VERIFY_OPTIONS
-              if dest not in reads and getattr(args, dest) is not None]
-    if unread:
-        raise TclError(f"verify {args.campaign} does not read {', '.join(unread)}")
-    for dest, default in reads.items():
-        if getattr(args, dest) is None:
-            setattr(args, dest, default)
-    if args.trials is not None and args.trials < 0:
+    if "trials" in reads and args.trials < 0:
         raise TclError(f"--trials must be >= 0, got {args.trials}")
-    if args.n is not None and args.n < 1:
+    if "n" in reads and args.n < 1:
         raise TclError(f"--n must be >= 1, got {args.n}")
     if args.jobs < 1:
         raise TclError(f"--jobs must be >= 1, got {args.jobs}")
@@ -405,10 +395,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, help_, *positionals, report=True):
-        """A subcommand with its file arguments; one that prints a report
-        takes --format."""
-        p = sub.add_parser(name, help=help_)
+    def add(name, fn, help_, *positionals, report=True, group=sub):
+        """A subcommand of `group` with its file arguments; one that prints a
+        report takes --format."""
+        p = group.add_parser(name, help=help_)
         p.set_defaults(fn=fn)
         for dest in positionals:
             p.add_argument(dest)
@@ -476,16 +466,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--canonical", action="store_true",
                    help="emit the compact timing-free canonical report")
 
-    p = add("verify", cmd_verify, "run a verification campaign")
-    p.add_argument("campaign", choices=CAMPAIGNS)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--jobs", type=int, default=1)
-    # Each campaign reads some of these; passing one it does not read exits 2.
-    for dest in VERIFY_OPTIONS:
-        read_by = ", ".join(f"{name} {reads[dest]}" for name, (reads, _) in CAMPAIGNS.items()
-                            if dest in reads)
-        p.add_argument(f"--{dest.replace('_', '-')}", type=int, dest=dest,
-                       help=f"read by (campaign default): {read_by}")
+    verify = sub.add_parser("verify", help="run a verification campaign")
+    group = verify.add_subparsers(dest="campaign", required=True)
+    for name, (reads, _) in CAMPAIGNS.items():
+        p = add(name, cmd_verify, None, group=group)
+        p.allow_abbrev = False  # or --t, which only `pipeline` reads, would mean --trials
+        p.add_argument("--seed", type=int)
+        p.add_argument("--jobs", type=int, default=1, help="default: %(default)s")
+        for dest, default in reads.items():
+            p.add_argument(f"--{dest.replace('_', '-')}", type=int, default=default,
+                           help="default: %(default)s")
 
     return top
 

@@ -398,15 +398,16 @@ def matching_guided_cycle(
     """
     if M.n != R.t:
         raise InvalidArgumentError(f"matching is on {M.n} vertices, not the {R.t} clusters")
-    rd = frozenset(R.thresholded_edges())
-    rd_view = Hypergraph3(R.t, [tuple(c + 1 for c in X) for X in sorted(rd)])
+    thresholded = R.thresholded_edges()  # sorted
+    rd = frozenset(thresholded)
+    rd_view = Hypergraph3(R.t, [tuple(c + 1 for c in X) for X in thresholded])
 
-    support = sorted(M.weights)
+    # a key names a set of three clusters, as in Hypergraph3.__contains__
+    support = sorted(tuple(sorted(e)) for e in M.weights)
     if not support:
         raise InvalidArgumentError("matching has empty support")
     for e in support:
-        X = tuple(sorted(c - 1 for c in e))
-        if X not in rd:
+        if tuple(c - 1 for c in e) not in rd:
             raise InvalidArgumentError(f"support triple {e} is not a thresholded triple")
     labeling = tight_components(rd_view)
     labels = {labeling.labels[e] for e in support}

@@ -165,8 +165,9 @@ def largest_component(G: Graph) -> tuple[frozenset[int], frozenset[Edge2]]:
     smallest vertex set.  Raises on an edgeless graph."""
     if not G.edges:
         raise InvalidArgumentError("no component: graph has no edges")
-    comps = connected_components(G)
-    return min(comps, key=lambda c: (-len(c[0]), tuple(sorted(c[0]))))
+    # Components are disjoint and listed by smallest vertex, so the first of
+    # the largest, which `min` keeps, has the smallest vertex set.
+    return min(connected_components(G), key=lambda c: -len(c[0]))
 
 
 @dataclass(frozen=True)

@@ -159,13 +159,13 @@ def _stages(
         raise TclError(f"only {len(good)} good clusters; need at least 3")
     yield {"good_clusters": list(good), "count": len(good)}
 
+    # good ascends, so renumbering either way keeps a sorted triple sorted
     pos = {c: i + 1 for i, c in enumerate(good)}
-    good_set = set(good)
-    sub_edges = [tuple(sorted(pos[c] for c in X)) for X in thresholded if set(X) <= good_set]
+    sub_edges = [tuple(pos[c] for c in X) for X in thresholded if all(c in pos for c in X)]
     view = Hypergraph3(len(good), sub_edges)
     result = tight_perfect_fractional_matching(view)
     weights = {
-        tuple(sorted(good[v - 1] + 1 for v in e)): w
+        tuple(good[v - 1] + 1 for v in e): w
         for e, w in result.matching.weights.items()
     }
     M = FractionalMatching(n=R.t, weights=weights, total_weight=result.matching.total_weight)

@@ -1,9 +1,10 @@
+import argparse
 import json
 from fractions import Fraction
 
 import pytest
 
-from tightcycle.cli import main
+from tightcycle.cli import CAMPAIGNS, build_parser, main
 from tightcycle.hypergraph import complete_3graph, write_hypergraph
 
 
@@ -173,17 +174,33 @@ def test_verify_reduced_degree(capsys):
     assert code == 0 and json.loads(out)["passed"]
 
 
-@pytest.mark.parametrize("argv,named", [
-    (["extremal-bound", "--max-n", "5", "--trials", "7", "--seed", "3", "--jobs", "2",
-      "--n", "9", "--t", "4"], "--trials, --n, --t"),
-    (["pipeline", "--n", "18", "--trials", "50"], "--trials"),
-    (["pipeline", "--n", "18", "--trials", "100"], "--trials"),  # the default, passed
-    (["farkas", "--trials", "3", "--max-n", "12"], "--max-n"),
-])
-def test_verify_rejects_options_the_campaign_does_not_read(capsys, argv, named):
-    code, out, err = run_cli(capsys, "verify", *argv)
-    assert code == 2 and out == ""
-    assert err == f"error: verify {argv[0]} does not read {named}\n"
+def test_each_campaign_declares_exactly_the_options_it_reads():
+    def choices(parser):
+        return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+    parsers = choices(choices(build_parser())["verify"])
+    assert list(parsers) == list(CAMPAIGNS)
+    for name, (reads, _) in CAMPAIGNS.items():
+        options = [a for a in parsers[name]._actions if a.option_strings and a.dest != "help"]
+        assert all(a.option_strings == [f"--{a.dest.replace('_', '-')}"] for a in options), name
+        assert {a.dest: a.default for a in options} == {"format": "json", "seed": None, "jobs": 1,
+                                                         **reads}, name
+
+
+def _unread_options():
+    every = dict.fromkeys(dest for reads, _ in CAMPAIGNS.values() for dest in reads)
+    return [(name, f"--{dest.replace('_', '-')}") for name, (reads, _) in CAMPAIGNS.items()
+            for dest in every if dest not in reads]
+
+
+@pytest.mark.parametrize("campaign,option", _unread_options(),
+                         ids=[f"{c} {o}" for c, o in _unread_options()])
+def test_verify_rejects_options_the_campaign_does_not_read(capsys, campaign, option):
+    # -1 is out of range for every option: argparse refuses it before any range check
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", campaign, option, "-1"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {option} -1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -333,7 +350,6 @@ BAD_INPUT_CASES = [
     ("verify-exhaustive-n-zero", ["verify", "erdos-gallai", "--trials", "3", "--exhaustive-n", "0"], {}, None),
     ("random-negative-delta-target", ["random", "--n", "5", "--delta-target", "-3"], {}, None),
     ("verify-extremal-bound-trials-jobs", ["verify", "extremal-bound", "--max-n", "5", "--jobs", "-3"], {}, None),
-    ("verify-pipeline-negative-trials", ["verify", "pipeline", "--n", "18", "--trials", "-1"], {}, None),
     ("verify-pipeline-zero-jobs", ["verify", "pipeline", "--n", "18", "--jobs", "0"], {}, None),
     ("verify-graphmeet-zero-n", ["verify", "graphmeet", "--n", "0", "--trials", "2"], {}, None),
     ("verify-pipeline-zero-n", ["verify", "pipeline", "--n", "0"], {}, None),

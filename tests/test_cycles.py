@@ -142,6 +142,15 @@ def test_matching_guided_deterministic():
     assert r1.success
 
 
+def test_matching_guided_reads_support_keys_as_sets():
+    H = complete_3graph(18)
+    S, R = _slice_and_reduced(H, 6, seed=4)
+    unsorted = FractionalMatching(6, {(3, 1, 2): Fraction(1), (4, 5, 6): Fraction(1)}, Fraction(2))
+    res = matching_guided_cycle(H, S, R, unsorted, seed=4)
+    assert res.success
+    assert res == matching_guided_cycle(H, S, R, _perfect_cluster_matching(R), seed=4)
+
+
 def test_matching_guided_rejects_disconnected_support():
     # reduced graph with exactly two disjoint thresholded triples
     t = 6

@@ -152,11 +152,18 @@ def test_writer_matches_json_dumps_on_nested_values(value):
 
 
 def report_commands() -> set[str]:
-    """The subcommands that take --format, read from the parser itself."""
-    sub = next(a for a in cli.build_parser()._actions
-               if isinstance(a, argparse._SubParsersAction))
-    return {name for name, p in sub.choices.items()
-            if any("--format" in a.option_strings for a in p._actions)}
+    """The subcommands that take --format, read from the parser itself.  A
+    command whose sub-parsers take it, as `verify`'s campaigns do, counts."""
+
+    def subparsers(parser):
+        return next((a.choices for a in parser._actions
+                     if isinstance(a, argparse._SubParsersAction)), {})
+
+    def reports(parser):
+        return (any("--format" in a.option_strings for a in parser._actions)
+                or any(map(reports, subparsers(parser).values())))
+
+    return {name for name, p in subparsers(cli.build_parser()).items() if reports(p)}
 
 
 @pytest.fixture(scope="module")

@@ -11,6 +11,7 @@ from tightcycle.generators import min_degree_bound
 from tightcycle.hypergraph import Graph, complete_graph
 from tightcycle.matching import (
     GraphMeetReport,
+    connected_components,
     erdos_gallai_threshold,
     graphmeet_verify,
     largest_component,
@@ -125,6 +126,15 @@ def test_largest_component_tiebreak():
     G = Graph(6, [(1, 2), (2, 3), (4, 5), (5, 6)])
     cv, _ = largest_component(G)
     assert cv == frozenset({1, 2, 3})
+    # the old key sorted every vertex set; sparse graphs give many equal-size components
+    rng = random.Random(23)
+    for trial in range(300):
+        n = rng.randint(2, 40)
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        G = Graph(n, rng.sample(pairs, rng.randint(1, min(len(pairs), n // 2 + 1))))
+        comps = connected_components(G)
+        old = min(comps, key=lambda c: (-len(c[0]), tuple(sorted(c[0]))))
+        assert largest_component(G) == old
 
 
 def test_largest_component_dense_covers_two_thirds():
