@@ -14,7 +14,6 @@ import itertools
 import json
 import os
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
@@ -93,6 +92,10 @@ def _map_trials(worker, trials: int, jobs: int) -> list:
     workers = min(jobs, trials, os.cpu_count() or 1)
     if workers <= 1:
         return [worker(i) for i in range(trials)]
+    # imported here, not at the top: the process pool loads multiprocessing,
+    # about 1.9 MiB of resident memory that a serial run never uses
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         chunk = max(1, trials // (workers * 8))
         return list(pool.map(worker, range(trials), chunksize=chunk))
@@ -342,21 +345,17 @@ def run_erdos_gallai_exhaustive(max_n: int) -> CampaignResult:
     threshold must force a matching of the corresponding size."""
     if not 1 <= max_n <= EXHAUSTIVE_MAX_N:
         raise InvalidArgumentError(f"the exhaustive check covers 1 to {EXHAUSTIVE_MAX_N} vertices, got {max_n}")
-    result = CampaignResult(name="erdos-gallai-exhaustive", trials=0, stats={})
-    graphs = 0
+    graphs = sum(1 << comb(N, 2) for N in range(1, max_n + 1))
+    result = CampaignResult(name="erdos-gallai-exhaustive", trials=graphs, stats={"graphs_checked": graphs})
     for N in range(1, max_n + 1):
         nu = _matching_number_table(N)
-        P = comb(N, 2)
         thresholds = erdos_gallai_thresholds(N)
-        for mask in range(1 << P):
-            graphs += 1
+        for mask in range(1 << comb(N, 2)):
             e = mask.bit_count()
             v = nu[mask]
             for k, thr in thresholds.items():
                 if e > thr and v < k:
                     result.record({"N": N, "mask": mask, "e": e, "k": k, "nu": v})
-    result.trials = graphs
-    result.stats["graphs_checked"] = graphs
     return result
 
 
@@ -375,32 +374,21 @@ def _eg_random_trial(i: int, seed: int, max_n: int) -> TrialOutcome:
     return [], None, digest
 
 
-def _check_eg_random(trials: int, max_n: int, jobs: int) -> None:
-    if max_n < 2:
-        raise InvalidArgumentError(f"random graphs need max_n >= 2, got {max_n}")
-    _check_trials(trials, jobs)
-
-
-def run_erdos_gallai_random(trials: int, seed: int, max_n: int, jobs: int = 1) -> CampaignResult:
-    _check_eg_random(trials, max_n, jobs)
-    trial = partial(_eg_random_trial, seed=seed, max_n=max_n)
-    return _run_trials("erdos-gallai-random", trials, jobs, trial, {"max_n": max_n})
-
-
 def run_erdos_gallai_campaign(exhaustive_n: int, trials: int, seed: int, max_n: int,
                               jobs: int = 1) -> CampaignResult:
     """The exhaustive check on at most exhaustive_n vertices and, if it
-    passes, random graphs on at most max_n, merged into one result."""
-    _check_eg_random(trials, max_n, jobs)
-    result = run_erdos_gallai_exhaustive(exhaustive_n)
-    if result.passed:
-        rnd = run_erdos_gallai_random(trials, seed, max_n=max_n, jobs=jobs)
-        result.trials += rnd.trials
-        for failure in rnd.failures:
-            result.record(failure)
-        result.stats.update(random_trials=rnd.trials, instances_sha256=rnd.stats["instances_sha256"])
-        if rnd.stats.get("failures_truncated"):
-            result.stats["failures_truncated"] = True
+    passes, `trials` random graphs on 2 to max_n vertices, reported as one
+    result whose trials count both."""
+    if max_n < 2:
+        raise InvalidArgumentError(f"random graphs need max_n >= 2, got {max_n}")
+    _check_trials(trials, jobs)
+    exhaustive = run_erdos_gallai_exhaustive(exhaustive_n)
+    if not exhaustive.passed:
+        return exhaustive
+    graphs = exhaustive.trials
+    trial = partial(_eg_random_trial, seed=seed, max_n=max_n)
+    result = _run_trials(exhaustive.name, trials, jobs, trial, {"graphs_checked": graphs, "random_trials": trials})
+    result.trials += graphs
     return result
 
 

@@ -22,9 +22,10 @@ a tuple of ints bit(c) << 10 | c in ascending c, so a successor key is one
 OR and a transition builds no tuple.  A new successor state shares its
 parent's int of second vertices, and an old one is written back only when
 the parent adds a bit to it.  Since c ascends, states are inserted in the
-order of the earlier tuple-keyed DP, and the passes, their order and the
-cycle returned are its own.  Memory is the price: the budget is n <= 22,
-and dense instances get slow well before that.
+order that tests/test_cycle_dp_equivalence.py holds equal to its
+tuple-keyed oracle, so the passes, their order and the cycle returned are
+the oracle's.  Memory is the price: the budget is n <= 22, and dense
+instances get slow well before that.
 
 The heuristic mirrors the reduced-graph pipeline: it plans a closed cluster
 walk that visits each cluster according to the fractional matching weights
@@ -51,12 +52,7 @@ from .hypergraph import Hypergraph3
 from .slices import ReducedGraph, Triple, WeakSlice
 from .tight import tight_components
 
-# A DP state (mask, a, b) is packed as mask << 10 | a << 5 | b, so its two
-# vertex fields are 5 bits wide; that holds because DP_MAX_N = 22 < 32.  The
-# 10-bit (a, b) field also indexes the DP's flat pair table, and the
-# successor tables list c in ascending order, so states are created in the
-# order of the earlier DP; a new state shares its parent's int of second
-# vertices.
+# the packed DP key's two vertex fields are 5 bits wide, so DP_MAX_N < 32
 DP_MAX_N = 22
 MIN_CYCLE_LENGTH = 4
 

@@ -147,10 +147,12 @@ class Graph(_KUniform):
     def adjacency(self) -> dict[int, tuple[int, ...]]:
         """The sorted neighbours of each vertex."""
         adj: dict[int, list[int]] = {v: [] for v in range(1, self.n + 1)}
+        # the edges ascend, so v meets every (u, v) with u < v, in ascending
+        # u, before every (v, w), in ascending w: each list arrives sorted
         for u, w in self.edges:
             adj[u].append(w)
             adj[w].append(u)
-        return {v: tuple(sorted(ns)) for v, ns in adj.items()}
+        return {v: tuple(ns) for v, ns in adj.items()}
 
 
 def complete_3graph(n: int) -> Hypergraph3:

@@ -111,7 +111,8 @@ def max_matching(G: Graph) -> GraphMatching:
     for v in range(1, n + 1):
         if match[v] == 0:
             _find_augmenting_path(n, adj, match, v)
-    pairs = tuple(sorted((v, match[v]) for v in range(1, n + 1) if 0 < v < match[v]))
+    # v ascends and each pair is (smaller, larger), so the pairs come sorted
+    pairs = tuple((v, match[v]) for v in range(1, n + 1) if 0 < v < match[v])
     return GraphMatching(pairs)
 
 

@@ -168,7 +168,7 @@ def _stages(
         tuple(good[v - 1] + 1 for v in e): w
         for e, w in result.matching.weights.items()
     }
-    M = FractionalMatching(n=R.t, weights=weights, total_weight=result.matching.total_weight)
+    M = FractionalMatching(n=R.t, weights=weights)
     yield {
         "restricted_n": len(good),
         "restricted_edges": len(sub_edges),

@@ -104,18 +104,24 @@ def _check_triple(S: WeakSlice, X: Iterable[int]) -> Triple:
 
 
 def _check_d(d_threshold) -> None:
-    """The density threshold: d in [0, 1]."""
+    """A density threshold or reference density: d in [0, 1]."""
     if not 0 <= d_threshold <= 1:
         raise InvalidArgumentError(f"d must be in [0,1], got {d_threshold}")
 
 
-def _check_search(eps, samples: int) -> Fraction:
-    """eps in (0, 1) and at least one sample; returns eps as an exact rational."""
+def _check_eps(eps) -> Fraction:
+    """eps in (0, 1), returned as an exact rational."""
     if not 0 < eps < 1:  # also rejects nan and inf
         raise InvalidArgumentError(f"eps must be in (0,1), got {eps}")
+    return Fraction(eps)
+
+
+def _check_search(eps, samples: int) -> Fraction:
+    """eps in (0, 1) and at least one sample; returns eps as an exact rational."""
+    eps = _check_eps(eps)
     if samples < 1:
         raise InvalidArgumentError(f"samples must be >= 1, got {samples}")
-    return Fraction(eps)
+    return eps
 
 
 class ClusterIndex:
@@ -223,6 +229,7 @@ def irregularity_witness(
     """
     S = index.S
     xs = _check_triple(S, X)
+    _check_d(d)
     eps = _check_search(eps, samples)
     # the support and deviation tests are cross-multiplied over positive
     # denominators, in integers, so no rounding can make or skip a witness
@@ -379,7 +386,7 @@ def build_reduced_graph(
 def good_clusters(R: ReducedGraph, eps) -> tuple[int, ...]:
     """Clusters in fewer than 2 sqrt(eps) C(t,2) irregular triples (compared
     squared, in integers), trimmed largest-id-first to a multiple of 3."""
-    en, ed = Fraction(eps).as_integer_ratio()
+    en, ed = _check_eps(eps).as_integer_ratio()
     cap = 4 * en * comb(R.t, 2) ** 2
     irregular = _cluster_tallies(R)[2]
     kept = [Y for Y in range(R.t) if irregular[Y] ** 2 * ed < cap]

@@ -74,14 +74,13 @@ def test_criterion_3_farkas_disjunction(capsys):
 
 def test_criterion_4_erdos_gallai(capsys):
     start = time.time()
-    exhaustive = campaigns.run_erdos_gallai_exhaustive(max_n=7)
-    randomized = campaigns.run_erdos_gallai_random(trials=100_000, seed=SEED, max_n=12)
+    result = campaigns.run_erdos_gallai_campaign(7, trials=100_000, seed=SEED, max_n=12)
     elapsed = time.time() - start
-    ok = exhaustive.passed and randomized.passed and elapsed < 600
+    ok = result.passed and elapsed < 600
     _report(capsys, 4, "matching threshold soundness", ok, elapsed, 600,
-            f"{exhaustive.stats['graphs_checked']} exhaustive + {randomized.trials} random")
-    assert exhaustive.passed, exhaustive.failures[:3]
-    assert randomized.passed, randomized.failures[:3]
+            f"{result.stats['graphs_checked']} exhaustive + {result.stats.get('random_trials')} random")
+    assert result.passed, result.failures[:3]
+    assert result.stats["random_trials"] == 100_000
     assert elapsed < 600
 
 

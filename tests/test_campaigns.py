@@ -1,3 +1,9 @@
+import concurrent.futures
+import json
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from tightcycle import campaigns
@@ -38,13 +44,28 @@ class RecordingPool:
     (3, 40, 1, None),  # one CPU: serial, no pool
 ])
 def test_pool_size_is_bounded(monkeypatch, jobs, trials, cpus, workers):
-    monkeypatch.setattr(campaigns, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(campaigns.os, "cpu_count", lambda: cpus)
     RecordingPool.sizes = []
     serial = campaigns.run_reduced_degree_campaign(trials, 7)
     pooled = campaigns.run_reduced_degree_campaign(trials, 7, jobs=jobs)
     assert RecordingPool.sizes == ([] if workers is None else [workers])
     assert pooled.to_json_dict() == serial.to_json_dict()
+
+
+def test_cli_import_defers_hashlib_and_the_process_pool():
+    """hashlib (OpenSSL) and the process pool cost resident memory that a
+    command which draws no digest and runs serially never needs, so neither
+    loads with the CLI; a fresh interpreter shows what importing it loads."""
+    src = Path(campaigns.__file__).resolve().parents[1]
+    probe = ("import json, sys, tightcycle.cli; "
+             "print(json.dumps([tightcycle.cli.__file__, sorted(sys.modules)]))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          timeout=60, cwd=src)
+    assert proc.returncode == 0, proc.stderr
+    path, loaded = json.loads(proc.stdout)
+    assert Path(path).resolve().parents[1] == src
+    assert [m for m in loaded if m == "hashlib" or m.startswith("concurrent")] == []
 
 
 def test_extremal_bound_refuses_max_n_above_the_dp_limit_before_any_work(monkeypatch):

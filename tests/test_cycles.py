@@ -118,7 +118,7 @@ def _perfect_cluster_matching(R):
     weights = {}
     for base in range(1, R.t + 1, 3):
         weights[(base, base + 1, base + 2)] = Fraction(1)
-    return FractionalMatching(n=R.t, weights=weights, total_weight=Fraction(R.t, 3))
+    return FractionalMatching(n=R.t, weights=weights)
 
 
 def test_matching_guided_on_complete():
@@ -145,7 +145,7 @@ def test_matching_guided_deterministic():
 def test_matching_guided_reads_support_keys_as_sets():
     H = complete_3graph(18)
     S, R = _slice_and_reduced(H, 6, seed=4)
-    unsorted = FractionalMatching(6, {(3, 1, 2): Fraction(1), (4, 5, 6): Fraction(1)}, Fraction(2))
+    unsorted = FractionalMatching(6, {(3, 1, 2): Fraction(1), (4, 5, 6): Fraction(1)})
     res = matching_guided_cycle(H, S, R, unsorted, seed=4)
     assert res.success
     assert res == matching_guided_cycle(H, S, R, _perfect_cluster_matching(R), seed=4)
@@ -173,7 +173,7 @@ def test_matching_guided_rejects_disconnected_support():
 def test_matching_guided_rejects_off_support():
     H = complete_3graph(18)
     S, R = _slice_and_reduced(H, 6, seed=4)
-    bad = FractionalMatching(n=6, weights={(1, 2, 3): Fraction(1)}, total_weight=Fraction(1))
+    bad = FractionalMatching(n=6, weights={(1, 2, 3): Fraction(1)})
     import itertools
 
     hollow = ReducedGraph(
@@ -185,7 +185,7 @@ def test_matching_guided_rejects_off_support():
     with pytest.raises(InvalidArgumentError):
         matching_guided_cycle(H, S, hollow, bad, seed=0)
     M = _perfect_cluster_matching(R)
-    off_count = FractionalMatching(n=5, weights=M.weights, total_weight=M.total_weight)
+    off_count = FractionalMatching(n=5, weights=M.weights)
     with pytest.raises(InvalidArgumentError):
         matching_guided_cycle(H, S, R, off_count, seed=0)
 

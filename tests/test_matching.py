@@ -78,6 +78,20 @@ def test_max_matching_deterministic():
     assert max_matching(G) == max_matching(G)
 
 
+def test_adjacency_and_matching_pairs_ascend_for_any_input_order():
+    # neither sorts: both read their order off the sorted edge tuple
+    rng = random.Random(23)
+    for _ in range(300):
+        n = rng.randint(1, 14)
+        edges = [e for e in itertools.combinations(range(1, n + 1), 2) if rng.random() < rng.random()]
+        rng.shuffle(edges)
+        G = Graph(n, [e if rng.random() < 0.5 else e[::-1] for e in edges])
+        for v, ns in G.adjacency.items():
+            assert list(ns) == sorted({u for e in edges if v in e for u in e if u != v})
+        pairs = max_matching(G).pairs
+        assert list(pairs) == sorted(pairs) and all(u < w for u, w in pairs)
+
+
 def test_erdos_gallai_threshold_values():
     assert erdos_gallai_threshold(5, 2) == 4  # max{3, 0 + 1*4}
     for N in (1, 4, 9, 20):

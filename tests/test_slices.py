@@ -268,8 +268,26 @@ def test_good_clusters_trim_and_threshold():
     kept = good_clusters(bad6, Fraction(1, 36))  # fewer than C(7,2)/3
     assert 6 not in kept and len(kept) % 3 == 0
 
-    none_allowed = good_clusters(bad6, 0)
+    # at eps 1/1764 the cap 4 eps C(7,2)^2 is 1, so one irregular triple drops a cluster
+    none_allowed = good_clusters(bad6, Fraction(1, 1764))
     assert none_allowed == ()
+
+
+@pytest.mark.parametrize("eps", [0, -1, 1, Fraction(3, 2), float("nan"), float("inf")])
+def test_good_clusters_rejects_eps_outside_the_open_unit_interval(eps):
+    triples = list(itertools.combinations(range(6), 3))
+    R = ReducedGraph(t=6, m=1, densities={X: Fraction(1, 2) for X in triples},
+                     regular={X: True for X in triples}, d_threshold=Fraction(0))
+    with pytest.raises(InvalidArgumentError, match="eps must be in"):
+        good_clusters(R, eps)
+
+
+@pytest.mark.parametrize("d", [-1, Fraction(-1, 64), Fraction(65, 64), 2, float("nan"), float("inf")])
+def test_witness_rejects_a_reference_density_outside_the_unit_interval(d):
+    H = complete_3graph(9)
+    index = ClusterIndex(H, build_weak_slice(H, 3, seed=1))
+    with pytest.raises(InvalidArgumentError, match="d must be in"):
+        irregularity_witness(index, (0, 1, 2), d, 0.25, 10, seed=1)
 
 
 def test_reduced_graph_json_colex_order():
