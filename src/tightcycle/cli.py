@@ -12,13 +12,18 @@ is not given.  --d, --eps and --eta are read exactly, as rationals.
 A JSON report is byte for byte `json.dumps(payload, indent=2,
 sort_keys=True)` followed by a newline: a 2-space indent, sorted keys and
 ASCII escapes.  It is written in pieces, never held as one string; values
-other than those reports are built from are written by `json.dumps`.
+other than those reports are built from are written by `json.dumps`.  The
+records of a long list, such as the {"c": ..., "e": [...]} labels of
+`components`, fill one `%`-template built from the first record, one
+`write` per record, so a report of 100k labels is never one string and a
+reader that goes away stops the writer at the next record.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -102,6 +107,15 @@ def _emit(payload: dict, fmt: str) -> None:
 # text with `nl` for each newline, and ASCII-escaped JSON has no newline
 # inside a string.  `nl` is a newline followed by the indent of the line the
 # value starts on.
+#
+# A report's long lists are lists of records, str-keyed dicts of exact ints
+# and int tuples, all with the same keys and tuple lengths.  The first record
+# of such a list gives a `%`-template, its text with `%d` for each int, and
+# every record that fits it is that template filled in, so the keys are
+# sorted and escaped once per list rather than once per record.  A record
+# that does not fit is written by `_json_text`.  Each record is still its own
+# `write`: the report is never held as one string, and a closed pipe stops
+# the writer one record after it closes.
 
 
 def _write_json(o, write, nl: str, depth: int) -> None:
@@ -125,11 +139,67 @@ def _write_json(o, write, nl: str, depth: int) -> None:
         write(nl + "}")
     else:
         write("[")
-        for v in o:
-            write(lead)
-            _write_json(v, write, inner, depth - 1)
-            lead = "," + inner
+        if depth == 1:
+            _write_rows(o, write, inner)
+        else:
+            for v in o:
+                write(lead)
+                _write_json(v, write, inner, depth - 1)
+                lead = "," + inner
         write(nl + "]")
+
+
+def _write_rows(rows, write, nl: str) -> None:
+    """Write the elements of a non-empty list at indent `nl`, one `write`
+    each after that of its separator.  An element with the keys, tuple
+    lengths and exact ints of the first one's record template is that
+    template filled in; any other is `_json_text`."""
+    shape, template = _record_template(rows[0], nl)
+    lead = nl
+    for r in rows:
+        if shape and type(r) is dict and len(r) == len(shape):
+            flat = []
+            for key, size in shape:
+                v = r.get(key)
+                if size:
+                    if type(v) is not tuple or len(v) != size:
+                        break
+                    flat += v
+                else:
+                    flat.append(v)
+            else:
+                if all(type(x) is int for x in flat):
+                    write(lead)
+                    write(template % tuple(flat))
+                    lead = "," + nl
+                    continue
+        write(lead)
+        write(_json_text(r, nl))
+        lead = "," + nl
+
+
+def _record_template(record, nl: str) -> tuple[list[tuple[str, int]], str]:
+    """The `%`-template of a record at indent `nl`: a non-empty dict with str
+    keys whose values are exact ints and non-empty tuples of exact ints.
+    Returns its (key, tuple length or 0 for an int) pairs in sorted key
+    order, and the template with a `%d` for each int; ([], "") for any other
+    value."""
+    if not (type(record) is dict and record and all(type(k) is str for k in record)):
+        return [], ""
+    inner = nl + "  "
+    shape, fields = [], []
+    for key in sorted(record):
+        v = record[key]
+        if type(v) is int:
+            size, slot = 0, "%d"
+        elif type(v) is tuple and v and all(type(x) is int for x in v):
+            size = len(v)
+            slot = "[" + inner + "  " + ("," + inner + "  ").join(["%d"] * size) + inner + "]"
+        else:
+            return [], ""
+        shape.append((key, size))
+        fields.append(encode_basestring_ascii(key).replace("%", "%%") + ": " + slot)
+    return shape, "{" + inner + ("," + inner).join(fields) + nl + "}"
 
 
 def _json_text(o, nl: str) -> str:
@@ -480,9 +550,13 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+# `main` parses with one parser per process; a parse reads options into a
+# fresh namespace and leaves the parser as it was.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_attach_exact_values(sys.argv[1:] if argv is None else argv))
+    args = _parser().parse_args(_attach_exact_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.fn(args)
     except InvariantViolation as exc:

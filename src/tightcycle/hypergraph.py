@@ -14,9 +14,13 @@ bitmask of the c with abc an edge (a codegree is its popcount); a graph's
 fresh host costs less than building the table.
 
 Edges are checked in one place, `_canonical_edges`, which both constructors
-call: arity, distinct vertices, range [1, n] and duplicates.  The text
-readers check only the header and the tokens of each line and feed the
-edges to the constructor, so a file obeys the same rules as an edge list.
+call: arity, distinct vertices, range [1, n] and duplicates.  An edge given
+as an exact tuple in strictly ascending order is kept as given, so the graph
+shares it with the caller, which is safe because tuples are immutable; any
+other edge is stored as a sorted copy.  The text readers check only the
+header and the tokens of each line and feed the edges to the constructor, so
+a file obeys the same rules as an edge list.  They split each line into
+tokens once and strip it only to quote it in an error.
 """
 
 from __future__ import annotations
@@ -43,9 +47,13 @@ def _canonical_edges(n: int, edges: Iterable[Iterable[int]], k: int) -> tuple[tu
     seen: set[tuple[int, ...]] = set()
     out: list[tuple[int, ...]] = []
     for raw in edges:
-        e = tuple(sorted(raw))
-        if len(e) != k or e[0] == e[1] or e[-2] == e[-1]:
-            raise InvalidArgumentError(f"edge {tuple(raw)} is not {k} distinct vertices")
+        e = raw
+        # k is 2 or 3, so e[0] < e[1] and e[-2] < e[-1] says "strictly
+        # ascending": such an exact tuple is kept, any other edge is sorted
+        if type(e) is not tuple or len(e) != k or not (e[0] < e[1] and e[-2] < e[-1]):
+            e = tuple(sorted(raw))
+            if len(e) != k or e[0] == e[1] or e[-2] == e[-1]:
+                raise InvalidArgumentError(f"edge {tuple(raw)} is not {k} distinct vertices")
         if e[0] < 1 or e[-1] > n:
             raise InvalidArgumentError(f"edge {e} not inside [1, {n}]")
         if e in seen:
@@ -190,12 +198,11 @@ def _read(text: str, cls):
     lines = enumerate(text.splitlines(), start=1)
     n = None
     for lineno, raw in lines:
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        parts = raw.split()
+        if not parts or parts[0][0] == "#":
             continue
-        parts = line.split()
         if len(parts) != 2 or parts[0] != str(k):
-            raise ParseError(f"expected header '{k} <n>', got {line!r}", lineno)
+            raise ParseError(f"expected header '{k} <n>', got {raw.strip()!r}", lineno)
         try:
             n = int(parts[1])
         except ValueError:
@@ -208,16 +215,15 @@ def _read(text: str, cls):
     def edges():
         nonlocal current
         for current, raw in lines:
-            line = raw.strip()
-            if not line or line.startswith("#"):
+            parts = raw.split()
+            if not parts or parts[0][0] == "#":
                 continue
-            parts = line.split()
             if len(parts) != k:
                 raise ParseError(f"expected {k} vertices, got {len(parts)}", current)
             try:
                 e = tuple(map(int, parts))
             except ValueError:
-                raise ParseError(f"non-integer vertex in {line!r}", current)
+                raise ParseError(f"non-integer vertex in {raw.strip()!r}", current)
             yield e
 
     try:

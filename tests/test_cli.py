@@ -525,3 +525,21 @@ def test_verify_erdos_gallai_keeps_the_truncation_flag(capsys, monkeypatch):
     report = json.loads(out)
     assert len(report["failures"]) == campaigns.MAX_RECORDED_FAILURES
     assert report["stats"]["failures_truncated"] is True
+
+
+def test_one_parser_per_process_carries_nothing_between_calls(capsys, k5_file, monkeypatch):
+    """`main` reuses one parser; an option given to one call (here --format)
+    must not become the default of the next."""
+    from tightcycle import cli
+
+    calls = [["components", k5_file, "--format", "text"], ["components", k5_file],
+             ["info", k5_file]]
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_parser", cli.build_parser)  # a fresh parser per call
+        fresh = [run_cli(capsys, *argv) for argv in calls]
+    cli._parser.cache_clear()
+    shared = [run_cli(capsys, *argv) for argv in calls]
+    assert cli._parser() is cli._parser()
+    assert shared == fresh
+    assert json.loads(shared[1][1])["component_count"] == 1
+    assert shared[0][1].startswith("component_count: 1\n")

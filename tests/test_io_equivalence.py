@@ -9,6 +9,7 @@ must give the same object, or an InvalidArgumentError with the same message.
 
 import itertools
 import random
+from collections import namedtuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -316,3 +317,94 @@ def test_constructors_match_earlier_constructors(case):
     for _, _, _, cls, old_ctor in FORMATS:
         assert _outcome(cls, n, edges) == _outcome(old_ctor, n, edges)
         assert _outcome(cls, n, iter(map(tuple, edges))) == _outcome(old_ctor, n, edges)
+
+
+# -- edges in any container: the constructors keep an exact ascending tuple
+# as given and copy everything else, so the stored edges are exact tuples --
+
+Pair = namedtuple("Pair", "u v")
+Triple = namedtuple("Triple", "a b c")
+
+
+class Edge(tuple):
+    pass
+
+
+def assert_constructs_like_oracle(n, edges):
+    """The list and an iterator over it both construct as the oracle does."""
+    for _, _, _, cls, old_ctor in FORMATS:
+        expected = _outcome(old_ctor, n, edges)
+        for given_edges in (edges, iter(edges)):
+            got = _outcome(cls, n, given_edges)
+            assert got == expected, (cls.__name__, n, edges)
+            if got[0] == "ok":
+                _, stored, stored_set = got[1]
+                assert all(type(e) is tuple for e in stored)
+                assert all(type(e) is tuple for e in stored_set)
+
+
+MIXED_EDGE_LISTS = [
+    (5, [(1, 2, 3), (3, 2, 1)]),
+    (5, [(1, 2, 3), [2, 3, 4], (5, 4, 3), (1, 3, 5)]),
+    (5, [Triple(1, 2, 3), (1, 2, 4), Triple(5, 1, 2)]),
+    (5, [Triple(1, 2, 3), (1, 2, 3)]),
+    (5, [Edge((1, 2, 3)), (2, 3, 4), Edge((4, 3, 2))]),
+    (5, [Edge((1, 2, 4)), (1, 2, 4)]),
+    (5, [(True, 2, 3), (1, 2, 3)]),
+    (5, [(1, 2, 3), (True, 2, 3)]),
+    (5, [(False, 2, 3)]),
+    (5, [(True, 2, 3), (2, 3, 4.0)]),
+    (5, [(1.0, 2.0, 3.0), (1, 2, 3)]),
+    (5, [(1.5, 2, 3)]),
+    (5, [(1, 2.0, 2), (2, 3, 4)]),
+    (5, [(3.0, 2, 1), [4, 5.0, 1]]),
+    (5, [(1, 2, 6.0)]),
+    (5, [(1, 2, 3, 4)]),
+    (5, [(1, 2)]),
+    (5, [()]),
+    (5, [(1, 1, 2)]),
+    (5, [(2, 1, 1), (1, 2, 3)]),
+    (4, [(1, 2), (2, 1), (3, 4)]),
+    (4, [(1, 2), [3, 4], (4, 2), Pair(1, 3)]),
+    (4, [Pair(1, 2), (1, 2)]),
+    (4, [Pair(2, 1), Edge((3, 4)), Edge((4, 1))]),
+    (4, [(True, 2), (1, 3), (2.0, 3)]),
+    (4, [(1, 2), (2.0, 1)]),
+    (4, [(1.0, 4.0), (0.5, 2)]),
+    (4, [(3, 3)]),
+    (4, [(1, 5)]),
+    (4, [(0, 1)]),
+]
+
+
+@pytest.mark.parametrize("n,edges", MIXED_EDGE_LISTS, ids=range(len(MIXED_EDGE_LISTS)))
+def test_mixed_edge_containers_match_earlier_constructors(n, edges):
+    assert_constructs_like_oracle(n, edges)
+
+
+VERTICES = st.one_of(st.integers(-1, 7), st.booleans(), st.integers(-1, 7).map(float),
+                     st.sampled_from([0.5, 2.5, 6.5]))
+
+
+def _container(kind, vs):
+    if kind == "ascending":
+        return tuple(sorted(vs))
+    if kind == "descending":
+        return tuple(sorted(vs, reverse=True))
+    if kind == "named" and len(vs) in (2, 3):
+        return (Pair if len(vs) == 2 else Triple)(*sorted(vs))
+    if kind == "subclass":
+        return Edge(sorted(vs))
+    return list(vs) if kind == "list" else tuple(vs)
+
+
+MIXED_EDGES = st.builds(_container,
+                        st.sampled_from(["ascending", "ascending", "descending", "named",
+                                         "subclass", "list", "as given"]),
+                        st.lists(VERTICES, min_size=1, max_size=4))
+
+
+@given(st.integers(-1, 6), st.lists(MIXED_EDGES, max_size=10))
+@settings(max_examples=400, deadline=None)
+def test_edges_in_any_container_match_earlier_constructors(n, edges):
+    assert_constructs_like_oracle(n, edges)

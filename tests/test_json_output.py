@@ -100,6 +100,60 @@ def test_writer_matches_json_dumps(value):
     assert_same_as_stdlib(value)
 
 
+# --- the record template ------------------------------------------------------
+# A list one level below a report's top is written one element per `write`;
+# records (str-keyed dicts of ints and int tuples) fill the %-template of the
+# first record.  In each case below the first record fixes the template and a
+# later one does not fit it.
+
+RECORD = {"e": (1, 2, 3), "c": 0}
+TEMPLATE_BREAKERS = {
+    "bool": [{"e": (1, 2, 3), "c": True}, {"e": (1, False, 3), "c": 1}],
+    "intenum": [{"e": (1, 2, 3), "c": Colour.RED}, {"e": (1, Colour.BLUE, 3), "c": 1}],
+    "list": [{"e": [1, 2, 3], "c": 1}],
+    "length": [{"e": (1, 2), "c": 1}, {"e": (1, 2, 3, 4), "c": 1}],
+    "empty-tuple": [{"e": (), "c": 1}],
+    "extra-key": [{"e": (1, 2, 3), "c": 1, "x": 2}],
+    "missing-key": [{"e": (1, 2, 3)}, {"e": (1, 2, 3), "d": 1}, {}],
+    "nested-dict": [{"e": (1, 2, 3), "c": {"k": 1}}, {"e": {"k": (1, 2, 3)}, "c": 1}],
+    "percent-key": [{"e": (1, 2, 3), "%d": 1}, {"e": (1, 2, 3), "c%s": 1, "c": 2}],
+    "non-ascii-key": [{"e": (1, 2, 3), "é": 1}, {"e": (1, 2, 3), "\U0001d11e": 1}],
+    "non-str-key": [{"e": (1, 2, 3), 1: 0}, {1: (1, 2, 3), 2: 0}, {Flavour("c"): 1, "e": (4, 5, 6)}],
+    "other-values": [{"e": (1, 2, 3), "c": 1.0}, {"e": (1, 2, 3), "c": None}, {"e": "123", "c": 1},
+                     OrderedDict([("c", 1), ("e", (1, 2, 3))]), 7, [1, 2, 3]],
+}
+
+
+@pytest.mark.parametrize("name", list(TEMPLATE_BREAKERS))
+def test_a_record_that_does_not_fit_the_template_is_written_by_json_dumps(name):
+    rows = [RECORD, *TEMPLATE_BREAKERS[name], {"c": 2 ** 70, "e": (-1, 0, 2 ** 64)}]
+    assert_same_as_stdlib({"labels": rows})
+    assert_same_as_stdlib([rows])
+
+
+@pytest.mark.parametrize("first", [
+    {"%d": 1, "é": (1, 2), "a%%s": (3,)},
+    {"c": 1, "e": [1, 2, 3]},
+    {"c": True, "e": (1, 2, 3)},
+    {"c": 1, "e": ()},
+    {1: 0, 2: (1, 2, 3)},
+    {},
+    7,
+])
+def test_the_first_record_fixes_the_template_or_none(first):
+    rows = [first, {"%d": 2, "é": (3, 4), "a%%s": (5,)}, dict(RECORD), {"c": 5, "e": (4, 5, 6)}]
+    assert_same_as_stdlib({"labels": rows})
+    assert_same_as_stdlib([rows])
+
+
+def test_each_record_is_one_write():
+    rows = [{"e": (i, i + 1, i + 2), "c": i % 3} for i in range(1, 50)]
+    writes = []
+    cli._write_json({"labels": rows}, writes.append, "\n", 2)
+    assert sum('"e"' in w for w in writes) == len(rows)
+    assert "".join(writes) == json.dumps({"labels": rows}, indent=2, sort_keys=True)
+
+
 def random_value(rng: random.Random, depth: int = 0):
     kind = rng.randrange(11 if depth < 4 else 7)
     if kind == 0:
