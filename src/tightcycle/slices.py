@@ -6,15 +6,20 @@ clusters of equal size m (after deleting the n mod t remainder), with
 complete bipartite pair graphs between clusters.  It stands in for a
 genuine regular partition at desk scale.  A ClusterIndex stores, in one
 pass over H, each cluster triple's polyad as an int bitset over its m^3
-crossing triples, and the per-triple queries read it: relative_density
-gives exact rational densities (a popcount over m^3), sub_polyad_density
-and the witness search count a sub-polyad with one mask, one AND and one
-popcount, and irregularity_witness gives "regular" labels from a sampled
-search for deviating induced sub-polyads, which is one-sided evidence
-only.  An empty or complete polyad, whose every sub-polyad has density 0
-or 1, is searched only when that density deviates from the reference by
-more than eps.  eps is an exact rational and every comparison with it is
-made in integers.  build_reduced_graph builds one index and calls
+crossing triples; the pass keys the polyads by one int per cluster triple
+and turns the keys into sorted triples once at the end.  The per-triple
+queries read the index: relative_density gives exact rational densities
+(a popcount over m^3), sub_polyad_density and the witness search count a
+sub-polyad with one mask, one AND and one popcount, and
+irregularity_witness gives "regular" labels from a sampled search for
+deviating induced sub-polyads, which is one-sided evidence only.  The
+search draws positions straight from random.Random.getrandbits with the
+algorithms of CPython's randint and sample, so it draws exactly what
+rng.sample(range(m), rng.randint(1, m)) would; the tests hold the two
+equal draw for draw.  An empty or complete polyad, whose every sub-polyad
+has density 0 or 1, is searched only when that density deviates from the
+reference by more than eps.  eps is an exact rational and every comparison
+with it is made in integers.  build_reduced_graph builds one index and calls
 relative_density and irregularity_witness for every triple; there is no
 other reduce path.  One pass over the triples tallies each cluster's counts
 for reduced_degree_check, which checks deg(Y; R_d) >= deg(Y; R) - d -
@@ -28,7 +33,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm
+from math import ceil, comb, lcm, log
 from typing import Iterable, Sequence
 
 from .errors import InvalidArgumentError
@@ -132,7 +137,9 @@ class ClusterIndex:
     sorted cluster triple is one int: the edge whose vertices sit at
     positions pa, pb, pc of its three clusters (in cluster order) sets bit
     (pa*m + pb)*m + pc.  Edges touching a deleted vertex or meeting a cluster
-    twice belong to no triple and are dropped.
+    twice belong to no triple and are dropped.  The pass keys the polyads
+    by the int (i*t + j)*t + k and turns each key present into the triple
+    (i, j, k) once, at the end.
     """
 
     __slots__ = ("S", "slot", "polyads")
@@ -145,18 +152,28 @@ class ClusterIndex:
         for cid, cl in enumerate(S.clusters):
             for p, v in enumerate(cl):
                 slot[v] = cid * m + p
-        split = [divmod(s, m) for s in range(S.t * m)]  # slot -> (cluster, position)
-        polyads: dict[Triple, int] = {}
+        t = S.t
+        split = [divmod(s, m) for s in range(t * m)]  # slot -> (cluster, position)
+        polyads: dict[int, int] = {}  # keyed by (i*t + j)*t + k while building
         for a, b, c in H.edges:
-            sa, sb, sc = sorted((slot[a], slot[b], slot[c]))
+            sa, sb, sc = slot[a], slot[b], slot[c]
+            if sa > sb:
+                sa, sb = sb, sa
+            if sb > sc:
+                sb, sc = sc, sb
+                if sa > sb:
+                    sa, sb = sb, sa
             if sa < 0:
                 continue
             (i, pa), (j, pb), (k, pc) = split[sa], split[sb], split[sc]
             if i != j and j != k:
-                polyads[i, j, k] = polyads.get((i, j, k), 0) | 1 << ((pa * m + pb) * m + pc)
+                key = (i * t + j) * t + k
+                polyads[key] = polyads.get(key, 0) | 1 << ((pa * m + pb) * m + pc)
         self.S = S
         self.slot = slot
-        self.polyads = polyads
+        self.polyads = {
+            (key // (t * t), key // t % t, key % t): polyad for key, polyad in polyads.items()
+        }
 
 
 def _sub_count(polyad: int, m: int, P: Sequence[int], Q: Sequence[int],
@@ -167,6 +184,46 @@ def _sub_count(polyad: int, m: int, P: Sequence[int], Q: Sequence[int],
     bc = sum(c << y * m for y in Q)
     abc = sum(bc << x * m * m for x in P)
     return (polyad & abc).bit_count(), len(P) * len(Q) * len(R)
+
+
+def _draw_positions(getrandbits, m: int) -> list[int]:
+    """The positions rng.sample(range(m), rng.randint(1, m)) returns, drawn
+    from rng.getrandbits exactly as CPython's random.Random draws them.
+
+    randint(1, m) is 1 + _randbelow(m), and _randbelow(n) redraws
+    getrandbits(n.bit_length()) until the value is below n.  sample takes k
+    positions by swapping through a pool of range(m) when m is at most its
+    set size, 21 plus 4 ** ceil(log(3k, 4)) when k > 5, and otherwise redraws
+    each position until it is new.
+    """
+    bits = m.bit_length()
+    k = getrandbits(bits)
+    while k >= m:
+        k = getrandbits(bits)
+    k += 1
+    setsize = 21
+    if k > 5 and m > setsize:  # at m <= 21 the pool is taken whatever k is
+        setsize += 4 ** ceil(log(k * 3, 4))
+    if m > setsize:
+        out: list[int] = []
+        chosen: set[int] = set()
+        for _ in range(k):
+            j = getrandbits(bits)
+            while j >= m or j in chosen:
+                j = getrandbits(bits)
+            chosen.add(j)
+            out.append(j)
+        return out
+    pool = list(range(m))
+    out = []
+    for n in range(m, m - k, -1):
+        bits = n.bit_length()
+        j = getrandbits(bits)
+        while j >= n:
+            j = getrandbits(bits)
+        out.append(pool[j])
+        pool[j] = pool[n - 1]
+    return out
 
 
 def relative_density(index: ClusterIndex, X: Iterable[int]) -> Fraction:
@@ -222,10 +279,14 @@ def irregularity_witness(
 ) -> IrregularityWitness | None:
     """Sampled search for a witness that the polyad over X is not eps-regular.
 
-    Draws `samples` random vertex-subset-induced sub-polyads Q with
-    |K_3(Q)| > eps * |K_3(polyad)| and returns the first whose density
-    deviates from d by more than eps.  Both tests are exact.  Returning None
-    is NOT a proof of regularity, only absence of sampled evidence.
+    Makes `samples` draws of a vertex-subset-induced sub-polyad Q, each
+    subset of a uniformly random size from 1 to m, and returns the first
+    drawn Q with |K_3(Q)| > eps * |K_3(polyad)| whose density deviates from
+    d by more than eps.  A draw that fails the support test is skipped
+    uncounted, and it has still consumed its randomness: at eps 1/4 and
+    small m most draws are skipped, so far fewer than `samples` sub-polyads
+    are tested.  Both tests are exact.  Returning None is NOT a proof of
+    regularity, only absence of sampled evidence.
     """
     S = index.S
     xs = _check_triple(S, X)
@@ -245,10 +306,12 @@ def irregularity_witness(
         delta = int(polyad == complete)
         if abs(delta * dd - dn) * ed <= en * dd:
             return None
-    rng = random.Random(seed)
-    positions = range(m)  # sampling positions draws exactly as sampling the cluster
+    getrandbits = random.Random(seed).getrandbits
     for _ in range(samples):
-        P, Q, R = (rng.sample(positions, rng.randint(1, m)) for _ in range(3))
+        # sampling positions draws exactly as sampling the cluster would
+        P = _draw_positions(getrandbits, m)
+        Q = _draw_positions(getrandbits, m)
+        R = _draw_positions(getrandbits, m)
         if len(P) * len(Q) * len(R) * ed <= en * full_support:
             continue
         num, den = _sub_count(polyad, m, P, Q, R)

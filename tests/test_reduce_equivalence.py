@@ -228,6 +228,10 @@ def _wide_corpus():
         ("planted-n30-t5-m6", planted(30, 702), 5),
         ("complete-n13-t4", complete_3graph(13), 4),
         ("empty-n12-t3", Hypergraph3(12, []), 3),
+        # m 23: sample's set-rejection branch for k <= 5, its pool otherwise
+        ("random-n70-t3-m23", random_3graph(70, 0.05, 10), 3),
+        # t 11: polyad keys (i*t + j)*t + k beyond a single decimal digit
+        ("random-n35-t11-m3", random_3graph(35, 0.5, 11), 11),
     ]
     return [(name, H, build_weak_slice(H, t, seed=i)) for i, (name, H, t) in enumerate(hosts)]
 
@@ -278,6 +282,19 @@ def test_wide_reduced_graph_matches_the_list_oracle(name, H, S):
     for eps in EPSES:
         got = build_reduced_graph(H, S, Fraction(1, 20), eps, 20, seed=len(name))
         assert got == list_reduced_graph(H, S, Fraction(1, 20), eps, 20, seed=len(name))
+
+
+@pytest.mark.parametrize("m", [*range(1, 101), 170])
+def test_drawn_positions_match_the_stdlib(m):
+    # 1..21 always take sample's pool, 22..85 take its set rejection for
+    # k <= 5, 86.. also for 6 <= k <= 21; 170 is the cluster size of the
+    # 1,020-vertex host in test_guided_search_depth.py
+    for seed in range(200):
+        rng, mirror = random.Random(seed), random.Random(seed)
+        for _ in range(3):
+            expected = rng.sample(range(m), rng.randint(1, m))
+            assert slices._draw_positions(mirror.getrandbits, m) == expected, seed
+        assert mirror.getstate() == rng.getstate()
 
 
 def test_constant_polyads_draw_nothing(monkeypatch):
