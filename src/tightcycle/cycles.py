@@ -329,6 +329,18 @@ def _instantiate_plan(
 
     Returns (cycle order or None, longest tight path prefix reached).
     """
+    edge_set = H.edge_set
+
+    def is_edge(x: int, y: int, z: int) -> bool:
+        # three distinct vertices sorted by compare-and-swap; no list is built
+        if x > y:
+            x, y = y, x
+        if y > z:
+            y, z = z, y
+            if x > y:
+                x, y = y, x
+        return (x, y, z) in edge_set
+
     last = len(plan) - 1
     pools: dict[int, list[int]] = {}
     for c in set(plan):
@@ -351,10 +363,10 @@ def _instantiate_plan(
                 return None, best_prefix
             if v in used:
                 continue
-            if pos >= 2 and (choice[pos - 2], choice[pos - 1], v) not in H:
+            if pos >= 2 and not is_edge(choice[pos - 2], choice[pos - 1], v):
                 continue
             if pos == last:
-                if (choice[pos - 1], v, choice[0]) in H and (v, choice[0], choice[1]) in H:
+                if is_edge(choice[pos - 1], v, choice[0]) and is_edge(v, choice[0], choice[1]):
                     order = (*choice, v)
                     return order, order
                 continue

@@ -11,7 +11,9 @@ Indices are cached properties, built on first use: a 3-graph's `degrees`,
 and `completions`, its one pair table, which holds for each pair {a, b} the
 bitmask of the c with abc an edge (a codegree is its popcount); a graph's
 `adjacency`.  `link_graph` scans the edges instead: one link graph of a
-fresh host costs less than building the table.
+fresh host costs less than building the table.  The pair table has (n+1)^2
+entries, so code that builds it only to save time does so when
+`_may_cover(2)`, which says the table is O(e).
 
 Edges are checked in one place, `_canonical_edges`, which both constructors
 call: arity, distinct vertices, range [1, n] and duplicates.  An edge given
@@ -19,13 +21,20 @@ as an exact tuple in strictly ascending order is kept as given, so the graph
 shares it with the caller, which is safe because tuples are immutable; any
 other edge is stored as a sorted copy.  The text readers check only the
 header and the tokens of each line and feed the edges to the constructor, so
-a file obeys the same rules as an edge list.  They split each line into
-tokens once and strip it only to quote it in an error.
+a file obeys the same rules as an edge list.
+
+A reader takes a canonical body, rows of k ASCII digit runs joined by single
+spaces and each ended by a newline, about 64 KiB at a time: one regex match
+checks a chunk, one `split` tokenises it, and each distinct token is turned
+into an int once.  Any other text, and any file the constructor rejects,
+goes through the line loop from the top, which splits each line once and
+gives every error its message and line number.
 """
 
 from __future__ import annotations
 
 import itertools
+import re
 from functools import cached_property
 from math import comb
 from typing import Iterable
@@ -109,21 +118,35 @@ class Hypergraph3(_KUniform):
         """Codegrees as bitmasks: completions[a][b] == completions[b][a] has
         bit c-1 set exactly when {a, b, c} is an edge; rows and columns run
         0..n, and row and column 0 are zero."""
-        comp = [[0] * (self.n + 1) for _ in range(self.n + 1)]
+        n1 = self.n + 1
+        bit = [0] + [1 << v for v in range(self.n)]  # bit[c] == 1 << (c - 1)
+        comp = [[0] * n1 for _ in range(n1)]
+        # the edges ascend, so this fills the entries above the diagonal...
         for a, b, c in self.edges:
-            comp[a][b] = comp[b][a] = comp[a][b] | 1 << (c - 1)
-            comp[a][c] = comp[c][a] = comp[a][c] | 1 << (b - 1)
-            comp[b][c] = comp[c][b] = comp[b][c] | 1 << (a - 1)
+            row = comp[a]
+            row[b] |= bit[c]
+            row[c] |= bit[b]
+            comp[b][c] |= bit[a]
+        # ...and row y below it is column y above it
+        for y, column in enumerate(zip(*comp)):
+            comp[y][:y] = column[:y]
         return comp
+
+    def _may_cover(self, s: int) -> bool:
+        """Whether there are edges enough to cover every s-subset, s in {1, 2}.
+
+        An edge covers 3 vertices and 3 pairs, so with fewer than C(n, s)/3
+        edges some vertex or pair has degree 0.  For s = 2 the answer also
+        says that the (n+1)^2 pair table `completions` is O(e)."""
+        return 3 * len(self.edges) >= comb(self.n, s)
 
     def min_degree(self, s: int = 1) -> int:
         """Minimum number of edges containing an s-subset of the vertex set,
         for s in {1, 2}; 0 when n < s, as there is no s-subset."""
         if s not in (1, 2):
             raise InvalidArgumentError(f"s must be 1 or 2, got {s}")
-        # An edge covers 3 vertices and 3 pairs: with too few edges some
-        # vertex or pair has degree 0, found without listing them all.
-        if self.n < s or 3 * len(self.edges) < comb(self.n, s):
+        # a vertex or pair of degree 0 is found without listing them all
+        if self.n < s or not self._may_cover(s):
             return 0
         if s == 1:
             return min(self.degrees[1:])
@@ -187,13 +210,56 @@ def density(H: Hypergraph3):
 # ---------------------------------------------------------------------------
 
 
-def _read(text: str, cls):
-    """Parse a ".3g" or ".2g" document into cls(n, edges), k = cls.k.
+CHUNK = 1 << 16  # characters of body per chunk, before the cut at a newline
 
-    Only the header and the tokens of each line are checked here; the edges
-    go lazily into the constructor, whose errors become a ParseError on the
-    line of the edge it was checking.
-    """
+# Per arity k: a canonical head, blank or '#' comment lines and then the
+# header "k <n>", and canonical body rows.  A comment may hold no character
+# at which str.splitlines breaks a line, so the head has the lines that the
+# line loop would read.
+_CANONICAL = {
+    k: (re.compile(rf"(?:(?:#[^\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]*)?\n)*{k} ([0-9]+)\n"),
+        re.compile(rf"(?:[0-9]+(?: [0-9]+){{{k - 1}}}\n)*"))
+    for k in (2, 3)
+}
+
+
+def _read(text: str, cls):
+    """Parse a ".3g" or ".2g" document into cls(n, edges), k = cls.k."""
+    G = _read_chunks(text, cls)
+    return _read_lines(text, cls) if G is None else G
+
+
+def _read_chunks(text: str, cls):
+    """cls(n, edges) from a canonical document, reading its body about CHUNK
+    characters at a time, each chunk cut after a newline; None when any part
+    of the text is not canonical or the constructor rejects the edges, so
+    that the line loop reads it and reports the error."""
+    head, rows = _CANONICAL[cls.k]
+    m = head.match(text)
+    if m is None:
+        return None
+    edges: list[tuple] = []
+    pos = m.end()
+    try:
+        while pos < len(text):
+            end = text.find("\n", pos + CHUNK) + 1 or len(text)
+            chunk = text[pos:end]
+            if rows.fullmatch(chunk) is None:
+                return None
+            toks = chunk.split()
+            ints = {x: int(x) for x in set(toks)}
+            it = map(ints.__getitem__, toks)
+            edges += zip(*[it] * cls.k)
+            pos = end
+        return cls(int(m[1]), edges)
+    except (ValueError, InvalidArgumentError):  # int() refuses an over-long digit run
+        return None
+
+
+def _read_lines(text: str, cls):
+    """The line loop: only the header and the tokens of each line are
+    checked here; the edges go lazily into the constructor, whose errors
+    become a ParseError on the line of the edge it was checking."""
     k = cls.k
     lines = enumerate(text.splitlines(), start=1)
     n = None

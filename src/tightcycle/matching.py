@@ -1,12 +1,13 @@
 """Graph matchings, component extraction, and the dense-pair meet verifier.
 
 max_matching is a maximum-cardinality blossom search (general graphs; link
-graphs are arbitrary).  graphmeet_verify checks, constructively, the four
-facts that hold for the largest components of two graphs on a common vertex
-set once both are denser than 5/9: each covers more than 2n/3 vertices,
-each keeps more than (4/9)C(n,2) edges, each contains a matching of size
-n/3, and the two components share an edge.  Its report holds the evidence
-only; the four verdicts are worked out from it.
+graphs are arbitrary), run on each connected component apart.
+graphmeet_verify checks, constructively, the four facts that hold for the
+largest components of two graphs on a common vertex set once both are
+denser than 5/9: each covers more than 2n/3 vertices, each keeps more than
+(4/9)C(n,2) edges, each contains a matching of size n/3, and the two
+components share an edge.  Its report holds the evidence only; the four
+verdicts are worked out from it.
 """
 
 from __future__ import annotations
@@ -104,13 +105,41 @@ def _find_augmenting_path(n, adj, match, root):
 
 
 def max_matching(G: Graph) -> GraphMatching:
-    """A maximum-cardinality matching of G (deterministic for fixed input)."""
+    """A maximum-cardinality matching of G (deterministic for fixed input).
+
+    Each connected component with an edge is searched on its own, its
+    vertices numbered 1..m in ascending order, so a blossom phase allocates
+    and scans lists of the component's size rather than of n.  The numbering
+    keeps every order the search reads (roots, neighbours, the relabelling
+    scan), so each phase runs as it would on all of G.
+    """
     n = G.n
     adj = G.adjacency
     match = [0] * (n + 1)
-    for v in range(1, n + 1):
-        if match[v] == 0:
-            _find_augmenting_path(n, adj, match, v)
+    seen = [False] * (n + 1)
+    for root in range(1, n + 1):
+        if seen[root] or not adj[root]:
+            continue
+        seen[root] = True
+        comp = [root]
+        # root's component, breadth first; connected_components would also
+        # build its edge set, which the search does not read
+        for x in comp:  # comp grows while it is read
+            for y in adj[x]:
+                if not seen[y]:
+                    seen[y] = True
+                    comp.append(y)
+        comp.sort()
+        local = {v: i for i, v in enumerate(comp, 1)}
+        m = len(comp)
+        local_adj = [()] + [[local[u] for u in adj[v]] for v in comp]
+        local_match = [0] * (m + 1)
+        for i in range(1, m + 1):
+            if local_match[i] == 0:
+                _find_augmenting_path(m, local_adj, local_match, i)
+        for v, i in zip(comp, local_match[1:]):
+            if i:
+                match[v] = comp[i - 1]
     # v ascends and each pair is (smaller, larger), so the pairs come sorted
     pairs = tuple((v, match[v]) for v in range(1, n + 1) if 0 < v < match[v])
     return GraphMatching(pairs)

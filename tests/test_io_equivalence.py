@@ -5,15 +5,23 @@ before handing the list to constructors that checked it again.  The current
 readers leave the edge checks to the constructors.  Every text must give the
 same object as the oracle, or a ParseError on the same line; every edge list
 must give the same object, or an InvalidArgumentError with the same message.
+
+The readers take a canonical body a chunk at a time and any other text
+through the line loop, `hypergraph._read_lines`; the last section holds the
+two routes to each other: the same graph, or the same ParseError message and
+line, on every layout, with the chunk size shrunk so that short texts span
+many chunks, and on texts longer than one full chunk.
 """
 
 import itertools
 import random
 from collections import namedtuple
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tightcycle import hypergraph
 from tightcycle.errors import InvalidArgumentError, ParseError
 from tightcycle.hypergraph import (
     Graph,
@@ -408,3 +416,129 @@ MIXED_EDGES = st.builds(_container,
 @settings(max_examples=400, deadline=None)
 def test_edges_in_any_container_match_earlier_constructors(n, edges):
     assert_constructs_like_oracle(n, edges)
+
+
+# -- the chunk route against the line loop ----------------------------------
+
+
+def _read_outcome(read, text):
+    """("ok", n, edges) or ("error", message, line)."""
+    try:
+        G = read(text)
+    except ParseError as exc:
+        return ("error", str(exc), exc.line)
+    return ("ok", G.n, G.edges)
+
+
+def assert_reads_like_line_loop(text, chunk=hypergraph.CHUNK):
+    with mock.patch.object(hypergraph, "CHUNK", chunk):
+        for read, cls in ((read_hypergraph, Hypergraph3), (read_graph, Graph)):
+            got = _read_outcome(read, text)
+            assert got == _read_outcome(lambda t: hypergraph._read_lines(t, cls), text), (
+                cls.k, chunk, text[:120])
+
+
+def _long_document(k):
+    """The complete k-graph on enough vertices that its body spans two
+    full chunks: (header, rows)."""
+    n = 50 if k == 3 else 230
+    rows = [" ".join(map(str, e)) for e in itertools.combinations(range(1, n + 1), k)]
+    assert sum(map(len, rows)) > 2 * hypergraph.CHUNK
+    return f"{k} {n}", rows
+
+
+def _layouts(k):
+    """(name, whether the chunk route reads it, text) for each layout, with
+    the odd row late in the body, in its last chunk."""
+    header, rows = _long_document(k)
+    n = int(header.split()[1])
+    late = len(rows) - 3
+    ok = rows[late]
+
+    def doc(*, pre="", at=None, row=None, newline="\n", end="\n"):
+        """The document with `row` inserted before or replacing rows[late]."""
+        body = rows
+        if at == "insert":
+            body = rows[:late] + [row] + rows[late:]
+        elif at == "replace":
+            body = rows[:late] + [row] + rows[late + 1:]
+        return pre + newline.join([header] + body) + end
+
+    big = "1" * 5000  # more digits than int() takes from a str
+    return [
+        ("canonical", True, doc()),
+        ("comments and blank lines before the header", True,
+         doc(pre="# generator: random n=9 p=0.5 seed=1\n\n#\n")),
+        ("leading zeros", True, doc(at="replace", row=" ".join("00" + t for t in ok.split()))),
+        ("comment after the header", False, doc(at="insert", row="# a late comment")),
+        ("indented comment before the header", False, doc(pre="  # indented\n")),
+        ("blank line in the body", False, doc(at="insert", row="")),
+        ("blank line of spaces", False, doc(at="insert", row="   ")),
+        ("crlf", False, doc(newline="\r\n", end="\r\n")),
+        ("tab", False, doc(at="replace", row=ok.replace(" ", "\t"))),
+        ("two spaces", False, doc(at="replace", row=ok.replace(" ", "  "))),
+        ("leading space", False, doc(at="replace", row=" " + ok)),
+        ("trailing space", False, doc(at="replace", row=ok + " ")),
+        ("no final newline", False, doc(end="")),
+        ("header without newline", False, header),
+        ("header with a plus sign", False, doc().replace(header, f"{k} +{n}", 1)),
+        ("header with an over-long count", False, doc().replace(header, f"{k} {big}", 1)),
+        ("out of range", False, doc(at="insert", row=" ".join(map(str, range(n - k + 2, n + 2))))),
+        ("vertex 0", False, doc(at="insert", row=" ".join(map(str, range(k))))),
+        ("repeated vertex", False, doc(at="insert", row=" ".join(["1"] * k))),
+        ("duplicate edge", False, doc(at="insert", row=rows[0])),
+        ("duplicate edge, reversed", False, doc(at="insert", row=" ".join(reversed(rows[1].split())))),
+        ("too few tokens", False, doc(at="insert", row="1")),
+        ("too many tokens", False, doc(at="insert", row=" ".join(["1"] * (k + 1)))),
+        ("non-ASCII digit", False, doc(at="insert", row="٣ " + " ".join(["1"] * (k - 1)))),
+        ("over-long digit run", False, doc(at="insert", row=" ".join([big] + ["1"] * (k - 1)))),
+        ("undecodable byte, escaped", False, doc(at="insert", row="1 \udcff" + " 2" * (k - 2))),
+        ("line break inside a comment", False, doc(pre="# a\x85b c\n")),
+        ("vertical tab inside a comment", False, doc(pre="# a\x0b3 5\n")),
+        ("form feed inside a row", False, doc(at="replace", row=ok.replace(" ", "\x0c", 1))),
+    ]
+
+
+@pytest.mark.parametrize("k", (3, 2))
+def test_long_documents_read_alike_on_both_routes(k):
+    cls = Hypergraph3 if k == 3 else Graph
+    for name, chunked, text in _layouts(k):
+        assert (hypergraph._read_chunks(text, cls) is not None) == chunked, name
+        assert_reads_like_line_loop(text)
+
+
+def test_short_canonical_documents_take_the_chunk_route():
+    for text, cls in (("3 0\n", Hypergraph3), ("2 5\n", Graph), ("# c\n3 4\n1 2 3\n", Hypergraph3),
+                      ("2 4\n1 2\n3 4\n", Graph), ("\n3 4\n04 2 1\n", Hypergraph3)):
+        assert hypergraph._read_chunks(text, cls) == hypergraph._read_lines(text, cls)
+
+
+ROW_QUIRKS = st.sampled_from(["", "   ", "# c", "1  2 3", "1\t2\t3", " 1 2", "1 2 ", "007 1 2",
+                              "٣ 1 2", "1 2 3 4", "1", "0 1", "1 1", "1 2\x0c3", "99 1 2"])
+
+
+@st.composite
+def canonical_documents(draw):
+    """Documents that are mostly canonical: comment or blank lines, the
+    header, single-spaced rows of k vertices that are mostly edges, each
+    line ended by a newline; now and then an odd row, an odd line before
+    the header, CRLF or no final newline."""
+    k = draw(st.sampled_from((2, 3)))
+    n = draw(st.integers(0, 12))
+    inside = st.lists(st.integers(1, max(n, k)), min_size=k, max_size=k, unique=True)
+    near = st.lists(st.integers(0, n + 1), min_size=k, max_size=k)
+    rows = [" ".join(map(str, e)) for e in draw(st.lists(st.one_of(inside, inside, near),
+                                                         max_size=40))]
+    for _ in range(draw(st.integers(0, 2))):
+        rows.insert(draw(st.integers(0, len(rows))), draw(ROW_QUIRKS))
+    pre = draw(st.lists(st.sampled_from(["", "# tcl random", "#", "  # x", "# a\x85b"]), max_size=2))
+    newline = draw(st.sampled_from(["\n"] * 6 + ["\r\n"]))
+    end = draw(st.sampled_from([newline] * 6 + [""]))
+    return newline.join(pre + [f"{k} {n}"] + rows) + end
+
+
+@given(st.one_of(canonical_documents(), DOCUMENTS, st.text(max_size=80)),
+       st.sampled_from([1, 4, 16, 64, hypergraph.CHUNK]))
+@settings(max_examples=500, deadline=None)
+def test_chunk_route_reads_like_line_loop(text, chunk):
+    assert_reads_like_line_loop(text, chunk)

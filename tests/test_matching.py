@@ -1,8 +1,13 @@
 import dataclasses
 import itertools
+import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +16,7 @@ from tightcycle.generators import min_degree_bound
 from tightcycle.hypergraph import Graph, complete_graph
 from tightcycle.matching import (
     GraphMeetReport,
+    _find_augmenting_path,
     connected_components,
     erdos_gallai_threshold,
     graphmeet_verify,
@@ -90,6 +96,57 @@ def test_adjacency_and_matching_pairs_ascend_for_any_input_order():
             assert list(ns) == sorted({u for e in edges if v in e for u in e if u != v})
         pairs = max_matching(G).pairs
         assert list(pairs) == sorted(pairs) and all(u < w for u, w in pairs)
+
+
+def _whole_graph_matching(G: Graph) -> tuple:
+    """The pairs of the blossom search run on all of G at once, every phase
+    on lists of n + 1, roots ascending; the reference for max_matching,
+    which searches each component apart."""
+    match = [0] * (G.n + 1)
+    for v in range(1, G.n + 1):
+        if match[v] == 0:
+            _find_augmenting_path(G.n, G.adjacency, match, v)
+    return tuple((v, match[v]) for v in range(1, G.n + 1) if 0 < v < match[v])
+
+
+def test_component_search_returns_the_pairs_of_the_whole_graph_search():
+    rng = random.Random(2626)
+    for i in range(300):
+        n = rng.randint(0, 40)
+        if i % 3 == 0:
+            p = rng.choice((0.02, 0.05, 0.1, 0.2, 0.5))
+            edges = [e for e in itertools.combinations(range(1, n + 1), 2) if rng.random() < p]
+        else:  # small odd and even cycles, or small dense parts, on shuffled labels
+            order = rng.sample(range(1, n + 1), n)
+            parts = [order[j:j + rng.randint(1, 7)] for j in range(0, n, 7)]
+            edges = set()
+            for part in parts:
+                if i % 3 == 1 and len(part) > 2:
+                    edges.update(zip(part, part[1:] + part[:1]))
+                else:
+                    edges.update(e for e in itertools.combinations(part, 2) if rng.random() < 0.7)
+        G = Graph(n, edges)
+        assert max_matching(G).pairs == _whole_graph_matching(G)
+
+
+TRIANGLES = "".join(f"{v} {v + 1}\n{v} {v + 2}\n{v + 1} {v + 2}\n" for v in range(1, 99_999, 3))
+
+
+@pytest.mark.parametrize("body,size", [("1 2\n", 1), (TRIANGLES, 33_333)],
+                         ids=["one-edge", "disjoint-triangles"])
+def test_match_on_many_small_components_is_quick(tmp_path, body, size):
+    # each component is searched on lists of its own size, so isolated
+    # vertices cost nothing and 33,333 blossoms cost no more than their edges
+    path = tmp_path / "sparse.2g"
+    path.write_text("2 100000\n" + body)
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "tightcycle.cli", "match", str(path)],
+        capture_output=True, text=True, timeout=20, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["size"] == size
 
 
 def test_erdos_gallai_threshold_values():

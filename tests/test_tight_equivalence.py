@@ -1,12 +1,14 @@
-"""The pair-id union-find against the edge union-find it replaced.
+"""The tight-component labelings against the edge union-find they replaced.
 
-`_edge_union_find` is the earlier `tight.tight_components`, kept here as the
+`_edge_union_find` is an earlier `tight.tight_components`, kept here as the
 oracle: a union-find over edge indices that joins the edges of each
 `pair_groups` group.  On a seeded corpus the current labeling must be `==`
 to it and to `naive_tight_components`, a quadratic pairwise BFS, with the
 same dict order (canonical edge order), so every caller sees the same
-component ids.  `test_tight.py` imports `naive_tight_components` and
-`pair_groups` from here.
+component ids.  The pair search that labels dense hosts must be `==` the
+pair-id union-find that labels sparse ones, on both sides of the density
+rule that chooses between them.  `test_tight.py` imports
+`naive_tight_components` and `pair_groups` from here.
 """
 
 from __future__ import annotations
@@ -14,7 +16,9 @@ from __future__ import annotations
 import itertools
 import random
 from collections import deque
+from math import comb
 
+from tightcycle import tight
 from tightcycle.generators import extremal
 from tightcycle.hypergraph import Edge3, Hypergraph3
 from tightcycle.tight import TightComponentLabeling, tight_components
@@ -154,3 +158,28 @@ def test_dense_and_extremal_hosts():
         _assert_same(extremal(n, a).hypergraph)
     for n in (30, 45):
         _assert_same(Hypergraph3(n, _random_edges(n, 0.3, rng)), naive=False)
+
+
+def test_pair_search_matches_union_find_around_the_density_rule():
+    # 3e = C(n, 2) exactly when 3 divides C(n, 2), as for n = 9, 10 and 12;
+    # each n also gets one edge fewer and one more, and a draw of any size
+    rng = random.Random(20261022)
+    sides = set()
+    dense_counts = set()
+    for n in (0, 1, 2, 3, 4, 5, 7, 8, 9, 10, 11, 12, 13, 16, 21, 30):
+        pool = list(itertools.combinations(range(1, n + 1), 3))
+        rule = -(-comb(n, 2) // 3)  # the fewest edges with 3e >= C(n, 2)
+        sizes = {rule - 1, rule, rule + 1, rng.randint(0, len(pool)), rng.randint(0, rule)}
+        for m in sorted(x for x in sizes if 0 <= x <= len(pool)):
+            for _ in range(3):
+                H = Hypergraph3(n, rng.sample(pool, m))
+                sides.add((H._may_cover(2), 3 * m == comb(n, 2)))
+                found = tight._pair_search(H)
+                expected = tight._union_find(H)
+                assert found == expected and list(found[0]) == list(expected[0]) == list(H.edges)
+                got = _assert_same(H, naive=m <= 120)
+                assert (got.labels, list(got.component_sizes)) == expected
+                if H._may_cover(2):
+                    dense_counts.add(min(got.component_count, 3))
+    assert sides == {(False, False), (True, False), (True, True)}
+    assert dense_counts == {0, 1, 2, 3}  # the search also numbers many components
